@@ -28,7 +28,7 @@ cargo test -q
 echo "==> stress harness (pathological circuits, both simplex variants)"
 cargo test -q --test stress
 
-echo "==> scale-differential suite (dense vs revised vs sparse-LU, release)"
+echo "==> scale-differential suite (dense vs sparse-LU, release)"
 # The non-ignored tests (shipped netlists, stress suite, proptest-random
 # circuits) also run under plain `cargo test` above; release mode adds the
 # ignored 1k/5k-row generated-datapath tests, which are deadline-bounded
@@ -118,6 +118,15 @@ grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/lp/src/hyperspar
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/lp/src/pricing.rs
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/gen/src/datapath.rs
 
+echo "==> the revised simplex stays deleted"
+# The dense tableau (paper-faithful oracle, parametric engine) and the
+# sparse-LU simplex are the only LP variants; no code or test may name
+# the removed third one.
+if grep -rn 'Revised' crates/ src/ tests/; then
+  echo "the removed revised simplex variant is referenced again" >&2
+  exit 1
+fi
+
 echo "==> panic-freedom attributes across the analysis layer"
 # The static-analysis crate backs the `smo check` CI gate itself: every
 # source file keeps the deny-level unwrap/expect attribute so a
@@ -184,25 +193,28 @@ cargo run -q --release -p smo-bench --bin bench_sweep
 echo "==> bench_fastpath (regenerates BENCH_fastpath.json, enforces graph >= 10x lp)"
 cargo run -q --release -p smo-bench --bin bench_fastpath
 
-echo "==> 5k-row generated circuit: certified sparse-LU solve under a deadline"
+echo "==> 5k-row generated circuit: certified sparse-LU solve under a deadline + smo analyze"
 # End-to-end through the CLI: `smo gen` emits a 5k-constraint-row
 # pipelined datapath, and the sparse-LU variant must return a certified
-# optimum inside an explicit wall-clock budget.
+# optimum inside an explicit wall-clock budget. `smo analyze` must then
+# finish on the same design with every cross-check agreeing (its LP legs
+# run on sparse LU; exit 2 on any disagreement).
 gen_ckt=$(mktemp --suffix=.ckt)
 ./target/release/smo gen --latches 1667 --seed 7 --out "$gen_ckt"
 ./target/release/smo solve "$gen_ckt" --backend lp --variant sparse --time-limit 300 \
   | grep "certified: true" > /dev/null
+./target/release/smo analyze "$gen_ckt" > /dev/null
 rm -f "$gen_ckt"
 
-echo "==> bench_scale (dense vs revised vs sparse-LU scaling gate)"
+echo "==> bench_scale (dense vs sparse-LU scaling gate)"
 # Quick mode enforces the speedup convention at CI-friendly sizes, then
 # re-measures sparse pivots/sec at the 10k-row anchor and fails if it
 # drops below half the checked-in sparse_pivots_per_sec_10k — the
 # throughput regression gate for the hypersparse kernels — all without
 # touching the checked-in curve. The full BENCH_scale.json regeneration
-# (6 sizes to ~50k rows; dense/revised are deadline-bounded, the jumbo
-# sparse solves get up to 1800 s each) runs with SCALE_FULL=1 ./ci.sh
-# and enforces the >= 10x gate at the largest three-way size.
+# (6 sizes to ~50k rows; dense is deadline-bounded, the jumbo sparse
+# solves get up to 1800 s each) runs with SCALE_FULL=1 ./ci.sh and
+# enforces the >= 10x gate at the 10k-row anchor size.
 if [ "${SCALE_FULL:-0}" = "1" ]; then
   cargo run -q --release -p smo-bench --bin bench_scale
 else

@@ -419,9 +419,11 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
     }
 
     // Solve twice — through presolve and plain — and insist they agree.
+    // Both legs run the sparse-LU simplex, whose cost scales with the
+    // matrix nonzeros, so the cross-check finishes on large designs too.
     let presolved_sol = model
         .problem()
-        .solve_with_presolve(SimplexVariant::Dense, &opts)?;
+        .solve_with_presolve(SimplexVariant::SparseLu, &opts)?;
     let with_presolve = match presolved_sol.status() {
         smo_lp::Status::Optimal => match presolved_sol.objective() {
             Some(objective) => objective,
@@ -441,7 +443,10 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
     // The plain solve doubles as the certified witness: its verdict is
     // re-verified from the raw constraint data (walking the numerical
     // recovery ladder if the first attempt does not certify).
-    let (plain_sol, certificate) = model.solve_lp_certified(&smo_lp::RecoveryPolicy::default())?;
+    let (plain_sol, certificate) = model.solve_lp_certified(&smo_lp::RecoveryPolicy {
+        variant: SimplexVariant::SparseLu,
+        ..Default::default()
+    })?;
     let without_presolve = plain_sol.objective();
     if (with_presolve - without_presolve).abs() > AGREE_TOL * (1.0 + without_presolve.abs()) {
         return Err(AnalyzeError::PresolveDisagree {

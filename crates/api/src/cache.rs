@@ -232,9 +232,7 @@ impl ApiCache {
 
     /// Caches the optimal basis from a finished solve of `fp`.
     pub fn store_basis(&mut self, fp: u64, basis: Basis) {
-        // `size()` counts basic columns; a warm basis may also carry a
-        // dense size×size B⁻¹, which dominates — budget for it.
-        let cost = 64 + basis.size() * basis.size() * std::mem::size_of::<f64>();
+        let cost = basis.footprint_bytes();
         self.bases.insert(fp, basis, cost);
     }
 
@@ -294,6 +292,33 @@ mod tests {
         assert!(cache.circuit(fp).is_none());
         assert!(cache.result(fp, "solve").is_none());
         assert_eq!(cache.stats().quarantined, 1);
+    }
+
+    #[test]
+    fn large_bases_fit_the_default_budget() {
+        // A 2k-row snapshot costs O(rows) bytes, far inside the 4 MiB
+        // default; a quadratic charge would have refused it outright.
+        let mut p = smo_lp::Problem::new();
+        let mut objective = smo_lp::LinExpr::new();
+        for i in 0..2_000 {
+            let x = p.add_var(format!("x{i}"));
+            p.constrain(x.into(), smo_lp::Sense::Ge, 1.0 + i as f64);
+            objective = objective + x;
+        }
+        p.minimize(objective);
+        let basis = p
+            .solve_with(smo_lp::SimplexVariant::SparseLu)
+            .unwrap()
+            .basis()
+            .cloned()
+            .expect("optimal solve captures a basis");
+        assert_eq!(basis.size(), 2_000);
+        let mut cache = ApiCache::new(&CacheConfig::default());
+        let fp = fingerprint(b"wide");
+        cache.store_basis(fp, basis);
+        let hit = cache.basis(fp).expect("a 2k-entry basis is cached");
+        assert_eq!(hit.size(), 2_000);
+        assert_eq!(cache.stats().basis_hits, 1);
     }
 
     #[test]

@@ -327,7 +327,7 @@ fn opt_pricing(value: &Json) -> Result<smo_lp::Pricing, ApiError> {
 
 fn opt_backend(value: &Json) -> Result<Backend, ApiError> {
     match value.get("backend") {
-        None | Some(Json::Null) => Ok(Backend::Auto),
+        None | Some(Json::Null) => Ok(Backend::default()),
         Some(v) => {
             let s = v
                 .as_str()

@@ -21,8 +21,8 @@ fn bench_lp_solve(c: &mut Criterion) {
         };
         let circuit = random_circuit(&cfg, 7);
         let model = TimingModel::build(&circuit).expect("model");
-        // DESIGN.md ablation: dense tableau vs sparse revised simplex on
-        // the same 0/±1 timing matrices.
+        // DESIGN.md ablation: dense tableau vs sparse-LU simplex on the
+        // same 0/±1 timing matrices.
         group.bench_with_input(BenchmarkId::new("dense", l), &model, |b, m| {
             b.iter(|| {
                 m.solve_lp_with(SimplexVariant::Dense)
@@ -30,9 +30,9 @@ fn bench_lp_solve(c: &mut Criterion) {
                     .objective()
             })
         });
-        group.bench_with_input(BenchmarkId::new("revised", l), &model, |b, m| {
+        group.bench_with_input(BenchmarkId::new("sparse", l), &model, |b, m| {
             b.iter(|| {
-                m.solve_lp_with(SimplexVariant::Revised)
+                m.solve_lp_with(SimplexVariant::SparseLu)
                     .expect("optimal")
                     .objective()
             })

@@ -1,9 +1,10 @@
 //! Ablation studies for the design choices called out in DESIGN.md.
 //!
-//! 1. **LP solver**: dense tableau vs sparse revised simplex (§VI's "more
+//! 1. **LP solver**: dense tableau vs sparse-LU simplex (§VI's "more
 //!    efficient algorithms" direction) — same optima, different scaling.
 //! 2. **Canonicalization**: the cost and effect of the second LP pass that
-//!    picks a deterministic compact schedule among the non-unique optima.
+//!    picks a deterministic compact schedule among the non-unique optima
+//!    (on the LP backend, where the second pass runs).
 //! 3. **Nonoverlap scope**: the paper's strict C3 vs the latch-destination
 //!    relaxation on a flip-flop-rich design.
 //! 4. **Update mode**: Jacobi vs Gauss-Seidel vs event-driven departure
@@ -14,7 +15,7 @@
 
 use smo_circuit::{lump_equivalent_latches, CircuitBuilder, PhaseId};
 use smo_core::{
-    min_cycle_time, min_cycle_time_with, solve_model_with, ConstraintOptions, MlpOptions,
+    min_cycle_time, min_cycle_time_with, solve_model_with, Backend, ConstraintOptions, MlpOptions,
     NonoverlapScope, TimingModel, UpdateMode,
 };
 use smo_gen::random::{random_circuit, GenConfig};
@@ -28,11 +29,11 @@ fn ms(f: impl FnOnce()) -> f64 {
 }
 
 fn main() {
-    smo_bench::header("Ablation 1 — dense tableau vs sparse revised simplex");
+    smo_bench::header("Ablation 1 — dense tableau vs sparse-LU simplex");
     println!(
         "{}",
         smo_bench::row(
-            &["latches", "rows", "dense (ms)", "revised (ms)", "speedup"],
+            &["latches", "rows", "dense (ms)", "sparse (ms)", "speedup"],
             &[8, 6, 11, 13, 8]
         )
     );
@@ -46,20 +47,20 @@ fn main() {
         let circuit = random_circuit(&cfg, 7);
         let model = TimingModel::build(&circuit).expect("model");
         let mut tc_d = 0.0;
-        let mut tc_r = 0.0;
+        let mut tc_s = 0.0;
         let td = ms(|| {
             tc_d = model
                 .solve_lp_with(SimplexVariant::Dense)
                 .expect("optimal")
                 .objective();
         });
-        let tr = ms(|| {
-            tc_r = model
-                .solve_lp_with(SimplexVariant::Revised)
+        let ts = ms(|| {
+            tc_s = model
+                .solve_lp_with(SimplexVariant::SparseLu)
                 .expect("optimal")
                 .objective();
         });
-        assert!((tc_d - tc_r).abs() < 1e-6, "variants disagree");
+        assert!((tc_d - tc_s).abs() < 1e-6, "variants disagree");
         println!(
             "{}",
             smo_bench::row(
@@ -67,8 +68,8 @@ fn main() {
                     &format!("{l}"),
                     &format!("{}", model.num_constraints()),
                     &format!("{td:.2}"),
-                    &format!("{tr:.2}"),
-                    &format!("{:.2}×", td / tr.max(1e-9)),
+                    &format!("{ts:.2}"),
+                    &format!("{:.2}×", td / ts.max(1e-9)),
                 ],
                 &[8, 6, 11, 13, 8],
             )
@@ -77,15 +78,19 @@ fn main() {
 
     smo_bench::header("Ablation 2 — schedule canonicalization (second LP pass)");
     let circuit = smo_gen::paper::example1(80.0);
+    let lp = MlpOptions {
+        backend: Backend::Lp,
+        ..Default::default()
+    };
     let raw = min_cycle_time_with(
         &circuit,
         &MlpOptions {
             canonicalize: false,
-            ..Default::default()
+            ..lp.clone()
         },
     )
     .expect("solves");
-    let compact = min_cycle_time(&circuit).expect("solves");
+    let compact = min_cycle_time_with(&circuit, &lp).expect("solves");
     println!(
         "raw vertex:  Tc = {:.1}, {}",
         raw.cycle_time(),
@@ -158,7 +163,7 @@ fn main() {
         let mut iters = 0;
         let t = ms(|| {
             let sol =
-                solve_model_with(&big, &model, mode, SimplexVariant::Revised).expect("solves");
+                solve_model_with(&big, &model, mode, SimplexVariant::SparseLu).expect("solves");
             iters = sol.update_iterations();
         });
         println!("{mode:?}: {iters} update iterations, {t:.2} ms end-to-end");
@@ -219,7 +224,7 @@ fn main() {
         )
     );
     let mut reference = None;
-    for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
+    for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
         for (label, opts) in [
             ("off", PresolveOptions::off()),
             ("on", PresolveOptions::default()),
@@ -267,7 +272,7 @@ fn main() {
             &[8, 11, 15, 9, 6]
         )
     );
-    for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
+    for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
         let mut tc_plain = 0.0;
         let t_plain = ms(|| {
             tc_plain = model

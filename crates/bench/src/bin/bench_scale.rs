@@ -1,4 +1,4 @@
-//! Scaling benchmark: dense vs revised vs sparse-LU certified solve time
+//! Scaling benchmark: dense vs sparse-LU certified solve time
 //! as the timing model grows from the paper's scale (~650 rows) past
 //! 10 000 constraint rows, with jumbo sparse-only sizes to 50k+ rows.
 //!
@@ -7,9 +7,9 @@
 //! certified cycle-time LP per size under a wall-clock deadline; a solve
 //! that hits the deadline is recorded with its elapsed time at abort and
 //! `timed_out = true` — an honest lower bound, never an extrapolation. At
-//! the jumbo sizes the dense/revised deadline is capped (they are known
-//! to be orders of magnitude off the pace; burning an hour to prove it
-//! again adds nothing), so their rows there are lower bounds by design.
+//! the jumbo sizes the dense deadline is capped (it is known to be orders
+//! of magnitude off the pace; burning an hour to prove it again adds
+//! nothing), so its rows there are lower bounds by design.
 //!
 //! Writes `BENCH_scale.json` at the repository root (checked in as the
 //! reference curve; regenerated on demand). The run aborts if the
@@ -17,7 +17,7 @@
 //! the anchor (10k-row) size, or if any two variants that both finished
 //! disagree on the verdict or the optimum.
 //!
-//! `--quick` (the CI smoke mode) runs the two small sizes three-way, then
+//! `--quick` (the CI smoke mode) runs the two small sizes both ways, then
 //! one sparse-only solve at the anchor size and gates its `pivots_per_sec`
 //! against the checked-in `sparse_pivots_per_sec_10k` (≥ half, to absorb
 //! shared-runner noise) — a cheap tripwire against kernel regressions.
@@ -35,17 +35,17 @@ const SIZES: [usize; 6] = [216, 667, 1_667, 3_333, 8_333, 16_667];
 /// every variant runs with full deadline headroom, where the 10× gate and
 /// the `sparse_pivots_per_sec_10k` reference are evaluated.
 const ANCHOR: usize = 3;
-/// `--quick` keeps only the first `QUICK_SIZES` sizes for the three-way
-/// comparison (the full curve is the checked-in artifact).
+/// `--quick` keeps only the first `QUICK_SIZES` sizes for the dense vs
+/// sparse comparison (the full curve is the checked-in artifact).
 const QUICK_SIZES: usize = 2;
-/// Floor for the dense/revised deadline so tiny models never time out.
+/// Floor for the dense deadline so tiny models never time out.
 const MIN_DEADLINE: Duration = Duration::from_secs(10);
-/// Dense/revised deadline = `DEADLINE_FACTOR × sparse seconds` (min
+/// Dense deadline = `DEADLINE_FACTOR × sparse seconds` (min
 /// clamped): enough headroom that the 10× gate is decided by measurement,
 /// not by the deadline itself. Applied through the anchor size only.
 const DEADLINE_FACTOR: f64 = 12.0;
-/// Dense/revised deadline cap at the jumbo (post-anchor) sizes: their
-/// rows become capped lower bounds rather than hour-long reruns of a
+/// Dense deadline cap at the jumbo (post-anchor) sizes: its rows become
+/// capped lower bounds rather than hour-long reruns of a
 /// foregone conclusion.
 const JUMBO_DEADLINE: Duration = Duration::from_secs(60);
 /// Sparse-LU deadline at the jumbo sizes. The bench *fails* if sparse
@@ -63,7 +63,7 @@ struct Measurement {
     iterations: usize,
     timed_out: bool,
     objective: Option<f64>,
-    /// Sparse-LU kernel counters (`None` for dense/revised and for
+    /// Sparse-LU kernel counters (`None` for dense and for
     /// timed-out solves).
     stats: Option<smo_lp::SolveStats>,
 }
@@ -154,9 +154,9 @@ fn main() {
         .map(|s| s.parse::<Pricing>().expect("valid --pricing"))
         .unwrap_or_default();
     smo_bench::header(if quick {
-        "Solver scaling, dense vs revised vs sparse-LU (quick: small sizes + 10k-row throughput gate)"
+        "Solver scaling, dense vs sparse-LU (quick: small sizes + 10k-row throughput gate)"
     } else {
-        "Solver scaling, dense vs revised vs sparse-LU (to 50k+ rows)"
+        "Solver scaling, dense vs sparse-LU (to 50k+ rows)"
     });
 
     let sizes = if quick {
@@ -216,7 +216,7 @@ fn main() {
         let model = build_model(latches);
         let rows = model.num_constraints();
 
-        // Sparse first: it sets the honest deadline for the others.
+        // Sparse first: it sets the honest deadline for dense.
         let sparse_deadline = jumbo.then_some(SPARSE_JUMBO_DEADLINE);
         let sparse = certified_solve(
             &model,
@@ -235,13 +235,6 @@ fn main() {
         if jumbo {
             deadline = deadline.min(JUMBO_DEADLINE);
         }
-        let revised = certified_solve(
-            &model,
-            SimplexVariant::Revised,
-            "revised",
-            Some(deadline),
-            pricing,
-        );
         let dense = certified_solve(
             &model,
             SimplexVariant::Dense,
@@ -250,13 +243,13 @@ fn main() {
             pricing,
         );
 
-        let all = vec![sparse, revised, dense];
+        let all = vec![sparse, dense];
         for m in &all {
             print_row(rows, latches, m);
         }
 
-        // Any two variants that both finished must agree exactly (the
-        // certificates already vouch for each one individually).
+        // Variants that both finished must agree exactly (the certificates
+        // already vouch for each one individually).
         let finished: Vec<&Measurement> = all.iter().filter(|m| !m.timed_out).collect();
         for pair in finished.windows(2) {
             let (a, b) = (pair[0], pair[1]);
@@ -308,13 +301,13 @@ fn main() {
 
     let (_, anchor_rows, anchor) = &curve[ANCHOR];
     let sparse_s = anchor[0].seconds;
-    let dense_s = anchor[2].seconds;
+    let dense_s = anchor[1].seconds;
     let speedup = dense_s / sparse_s;
     let sparse_pps_10k = anchor[0].pivots_per_sec();
     println!();
     println!(
         "anchor size ({anchor_rows} rows): sparse {sparse_s:.3}s vs dense {dense_s:.3}s{} -> {speedup:.1}x",
-        if anchor[2].timed_out {
+        if anchor[1].timed_out {
             " (deadline lower bound)"
         } else {
             ""
@@ -356,7 +349,7 @@ fn main() {
         "{{\n  \"_schema\": \"rows-vs-seconds scaling curve on seeded pipelined datapaths \
          (smo gen, seed 7); per size and variant one certified cycle-time LP solve; \
          timed_out=true means the solve hit its deadline (max(10s, 12 x sparse seconds), \
-         capped at 60s past the 10k-row anchor where dense/revised are pure lower bounds) \
+         capped at 60s past the 10k-row anchor where dense rows are pure lower bounds) \
          and seconds is the elapsed lower bound at abort, never an extrapolation; \
          variants that finish must agree on verdict and objective to Tol::TIGHT; \
          eta_fill is the peak eta-file nonzero count between refactorizations; \

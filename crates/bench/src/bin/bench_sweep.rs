@@ -13,6 +13,8 @@ use smo_core::{sweep_cycle_time, SweepOptions, SweepParam, TimingModel};
 use smo_gen::random::{perturbed_delays, random_circuit, GenConfig};
 use smo_lp::SimplexVariant;
 
+/// The simplex every leg runs: the sweep engine's default variant.
+const VARIANT: SimplexVariant = SimplexVariant::SparseLu;
 /// Delay jitter for the perturbed re-solves.
 const SPREAD: f64 = 0.05;
 /// Re-solves per cold/warm measurement.
@@ -23,7 +25,7 @@ const SWEEP_RUNS: usize = 256;
 /// The warm-over-cold throughput gate. This constant is the single source
 /// of truth: it is interpolated into the `_schema` string of
 /// `BENCH_sweep.json` and enforced by the assert at the end of the run.
-/// It is deliberately far below the measured speedup (~98× on the
+/// It is deliberately far below the measured speedup (~20× on the
 /// reference machine; see the checked-in JSON) so the gate flags a broken
 /// warm-start path, not machine-to-machine noise. `bench_scale` follows
 /// the same convention for its dense-over-sparse gate.
@@ -70,23 +72,19 @@ fn main() {
     let cold_start = Instant::now();
     let mut cold_iters = 0usize;
     for m in &perturbed {
-        let sol = m.solve_lp_with(SimplexVariant::Revised).expect("solves");
+        let sol = m.solve_lp_with(VARIANT).expect("solves");
         cold_iters += sol.iterations();
     }
     let cold_secs = cold_start.elapsed().as_secs_f64();
     let cold_rate = RUNS as f64 / cold_secs;
 
     // Warm: one base solve captures the basis; every re-solve repairs it.
-    let base = model
-        .solve_lp_with(SimplexVariant::Revised)
-        .expect("base solves");
+    let base = model.solve_lp_with(VARIANT).expect("base solves");
     let basis = base.basis().cloned().expect("optimal solve has a basis");
     let warm_start = Instant::now();
     let mut warm_iters = 0usize;
     for (m, cold) in perturbed.iter().zip(0..RUNS) {
-        let sol = m
-            .solve_lp_from_basis(SimplexVariant::Revised, &basis)
-            .expect("warm solves");
+        let sol = m.solve_lp_from_basis(VARIANT, &basis).expect("warm solves");
         warm_iters += sol.iterations();
         let _ = cold;
     }
@@ -134,7 +132,7 @@ fn main() {
             runs: SWEEP_RUNS,
             seed: 0,
             jobs,
-            variant: SimplexVariant::Revised,
+            variant: VARIANT,
             certify: false,
             ..SweepOptions::default()
         };
@@ -155,7 +153,7 @@ fn main() {
         .unwrap_or(1);
     let json = format!(
         "{{\n  \"_schema\": \"cold/warm: {RUNS} RHS-perturbed re-solves of one ~650-row model \
-         (revised simplex); iterations_per_solve is mean simplex pivots; solves_per_sec is \
+         (sparse-LU simplex); iterations_per_solve is mean simplex pivots; solves_per_sec is \
          wall-clock throughput; sweep_solves_per_sec measures sweep_cycle_time() end to end \
          at N worker threads ({SWEEP_RUNS} runs incl. base solve; interpret against \
          available_cores); gate (single source of truth, mirrored by BENCH_scale.json): \

@@ -6,14 +6,20 @@
 //! disjoint. The criticality of these segments … [is] directly related to
 //! associated slack variables in the inequality constraints."
 //!
-//! This module extracts exactly that from the solved LP: an edge (or setup
-//! requirement) is *critical* when its constraint row is binding (zero
-//! slack) **and** carries a non-zero dual — increasing the corresponding
-//! delay would increase the optimal cycle time at the rate given by the
-//! dual. Maximal chains of consecutive critical edges are grouped into
-//! segments.
+//! This module extracts exactly that from an optimal dual of the timing
+//! LP: an edge (or setup requirement) is *critical* when its constraint
+//! row carries a non-zero dual (and is therefore binding, by
+//! complementary slackness) — increasing the corresponding delay would
+//! increase the optimal cycle time at the rate given by the dual. Maximal
+//! chains of consecutive critical edges are grouped into segments.
+//!
+//! The dual comes from the graph whenever it can: on a pure
+//! difference-constraint model (every default model) the min-cycle-ratio
+//! search's critical-cycle witness *is* the support of an optimal dual,
+//! so no simplex runs. Mixed models read the dual off the simplex.
 
 use crate::error::TimingError;
+use crate::fastpath;
 use crate::model::{ConstraintKind, TimingModel};
 use smo_circuit::{Circuit, EdgeId, LatchId};
 use std::fmt;
@@ -48,9 +54,55 @@ pub struct CriticalReport {
     pub setup_critical: Vec<LatchId>,
     /// Maximal chains of consecutive critical edges.
     pub segments: Vec<CriticalSegment>,
+    /// The optimal LP dual the report was read from, one value per model
+    /// row — the evidence behind every entry above (`Σ yᵢ·rhsᵢ = T_c*`).
+    pub duals: Vec<f64>,
 }
 
 impl CriticalReport {
+    /// Classifies an optimal dual of `model`'s LP (one value per row, as
+    /// [`smo_lp::OptimalSolution::duals`] returns it): rows with a
+    /// non-zero dual are binding by complementary slackness, so edge and
+    /// setup rows above the tolerance are critical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `duals` is shorter than the model's row count.
+    pub fn from_duals(circuit: &Circuit, model: &TimingModel, duals: &[f64]) -> CriticalReport {
+        let mut edges = Vec::new();
+        let mut setup_critical = Vec::new();
+        for info in model.constraints() {
+            let dual = duals[info.row.index()].abs();
+            if dual <= TOL {
+                continue;
+            }
+            match info.kind {
+                ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup => {
+                    edges.push(CriticalEdge {
+                        edge: info.edge.expect("edge rows carry an edge id"),
+                        sensitivity: dual,
+                    });
+                }
+                ConstraintKind::Setup => {
+                    setup_critical.push(info.latch.expect("setup rows carry a latch id"));
+                }
+                _ => {}
+            }
+        }
+        edges.sort_by(|a, b| {
+            b.sensitivity
+                .total_cmp(&a.sensitivity)
+                .then(a.edge.cmp(&b.edge))
+        });
+        let segments = chain_segments(circuit, &edges);
+        CriticalReport {
+            edges,
+            setup_critical,
+            segments,
+            duals: duals.to_vec(),
+        }
+    }
+
     /// `true` iff `edge` appears among the critical edges.
     pub fn is_edge_critical(&self, edge: EdgeId) -> bool {
         self.edges.iter().any(|c| c.edge == edge)
@@ -84,52 +136,37 @@ impl fmt::Display for CriticalReport {
     }
 }
 
-/// Solves the model's LP and classifies critical edges, setup constraints
-/// and segments.
+/// One optimal dual of the model's LP, indexed by row: from the graph's
+/// critical-cycle witness on pure models (no simplex), from
+/// [`TimingModel::solve_lp`] on mixed ones. Shared by [`critical_report`]
+/// and [`delay_sensitivities`](crate::delay_sensitivities).
+pub(crate) fn optimal_duals(
+    circuit: &Circuit,
+    model: &TimingModel,
+) -> Result<Vec<f64>, TimingError> {
+    if let Some(y) = fastpath::graph_duals(circuit, model)? {
+        return Ok(y);
+    }
+    Ok(model.solve_lp()?.duals().to_vec())
+}
+
+/// Finds an optimal dual of the model's LP (see the module docs) and
+/// classifies critical edges, setup constraints and segments
+/// ([`CriticalReport::from_duals`]).
 ///
 /// # Errors
 ///
-/// Propagates LP failures from [`TimingModel::solve_lp`].
+/// [`TimingError::Infeasible`] when the model admits no schedule, and LP
+/// failures from [`TimingModel::solve_lp`] on mixed models.
 pub fn critical_report(
     circuit: &Circuit,
     model: &TimingModel,
 ) -> Result<CriticalReport, TimingError> {
-    let sol = model.solve_lp()?;
-
-    let mut edges = Vec::new();
-    let mut setup_critical = Vec::new();
-    for info in model.constraints() {
-        match info.kind {
-            ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup => {
-                let dual = sol.dual(info.row).abs();
-                let slack = sol.slack(info.row).abs();
-                if dual > TOL && slack < TOL {
-                    edges.push(CriticalEdge {
-                        edge: info.edge.expect("edge rows carry an edge id"),
-                        sensitivity: dual,
-                    });
-                }
-            }
-            ConstraintKind::Setup
-                if sol.dual(info.row).abs() > TOL && sol.slack(info.row).abs() < TOL =>
-            {
-                setup_critical.push(info.latch.expect("setup rows carry a latch id"));
-            }
-            _ => {}
-        }
-    }
-    edges.sort_by(|a, b| {
-        b.sensitivity
-            .total_cmp(&a.sensitivity)
-            .then(a.edge.cmp(&b.edge))
-    });
-
-    let segments = chain_segments(circuit, &edges);
-    Ok(CriticalReport {
-        edges,
-        setup_critical,
-        segments,
-    })
+    Ok(CriticalReport::from_duals(
+        circuit,
+        model,
+        &optimal_duals(circuit, model)?,
+    ))
 }
 
 /// Groups critical edges into maximal head-to-tail chains.
@@ -248,6 +285,43 @@ mod tests {
             "every critical edge lies in exactly one segment"
         );
         assert!(!report.segments.is_empty());
+    }
+
+    #[test]
+    fn pure_models_read_their_duals_off_the_graph() {
+        // `optimal_duals` returns the graph's answer before it would reach
+        // the simplex, so on a pure model no pivot ever runs.
+        for c in [
+            example1(60.0),
+            smo_gen::paper::example2(),
+            smo_gen::paper::gaas_mips(),
+        ] {
+            let m = TimingModel::build(&c).unwrap();
+            assert!(fastpath::graph_duals(&c, &m).unwrap().is_some());
+        }
+    }
+
+    #[test]
+    fn mixed_models_read_their_duals_off_the_simplex() {
+        let c = example1(60.0);
+        let mut m = TimingModel::build(&c).unwrap();
+        // A redundant non-difference row: the graph cannot decide alone.
+        let (w1, w2, tc) = {
+            let vars = m.vars();
+            (
+                vars.width(smo_circuit::PhaseId::new(0)),
+                vars.width(smo_circuit::PhaseId::new(1)),
+                vars.tc(),
+            )
+        };
+        let expr = smo_lp::LinExpr::from(w1) + w2 - tc - tc;
+        m.problem_mut().constrain(expr, smo_lp::Sense::Le, 0.0);
+        assert!(fastpath::graph_duals(&c, &m).unwrap().is_none());
+        let report = critical_report(&c, &m).unwrap();
+        let lp = m.solve_lp().unwrap();
+        assert_eq!(report, CriticalReport::from_duals(&c, &m, lp.duals()));
+        let eid = c.fanout(c.find("L4").unwrap())[0];
+        assert!(report.is_edge_critical(eid), "{report}");
     }
 
     #[test]

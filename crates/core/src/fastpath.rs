@@ -40,19 +40,24 @@ use smo_lp::{
 };
 
 /// Which solver backs [`min_cycle_time_with`](crate::min_cycle_time_with).
+///
+/// The default, [`Backend::Auto`], is the one default of every entry point
+/// — library options, the `smo` CLI and the `smo serve` request parser all
+/// inherit it from here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Route difference-only models to the graph solver, warm-start the
     /// simplex from the graph schedule on mixed models, and fall back to
-    /// the certified LP path on any numerical doubt.
+    /// the certified LP path on any numerical doubt (default).
+    #[default]
     Auto,
     /// Graph solver only; models with rows outside the difference
     /// fragment are rejected with
     /// [`TimingError::InvalidOptions`](crate::TimingError).
     Graph,
-    /// The simplex path of PRs 1–5, unchanged. The library default, so
-    /// existing callers see bit-identical behavior.
-    #[default]
+    /// The certified simplex on every model, pure or not — the
+    /// paper-faithful route and the oracle the graph path is tested
+    /// against.
     Lp,
 }
 
@@ -352,6 +357,76 @@ pub(crate) fn schedule_at(
             ),
         }),
     }
+}
+
+/// Optimal LP duals of a pure model, read off the graph solve with no
+/// simplex run: the Lawler witness multipliers divided by the witness's
+/// `T_c` slope (the support of an optimal dual — the witness aggregates
+/// to `T_c ≥ T_c*`, and every variable bound it leans on is the `0` lower
+/// bound, so the scaled multipliers are dual feasible and their objective
+/// `Σ yᵢ·rhsᵢ` is `T_c*`). When `T_c*` sits on a declared lower-bound row
+/// the witness is empty and that row carries the whole dual.
+///
+/// Returns `Ok(None)` when the graph cannot answer alone — a mixed model,
+/// numerical trouble in the search, or a witness that fails its re-check
+/// — so the caller falls back to the simplex.
+///
+/// # Errors
+///
+/// [`TimingError::Infeasible`] with a machine-checked negative-cycle
+/// certificate when no schedule exists.
+pub(crate) fn graph_duals(
+    circuit: &Circuit,
+    model: &TimingModel,
+) -> Result<Option<Vec<f64>>, TimingError> {
+    let p = model.problem();
+    let images = variable_images(circuit, model);
+    let cls = classify(p, &images)?;
+    if !cls.is_pure() {
+        return Ok(None);
+    }
+    let sys = DifferenceSystem::build(p, &images, &cls)?;
+    let tc = model.vars().tc();
+    let support = match sys.minimize_param(&SolveBudget::UNLIMITED) {
+        Ok(MinParamOutcome::Optimal {
+            lambda,
+            witness: Some(w),
+            ..
+        }) => {
+            if witness_bound(p, tc, &w) < lambda - Tol::FEAS.abs_for(lambda) {
+                return Ok(None);
+            }
+            w.rows().to_vec()
+        }
+        // `T_c*` on the declared lower bound: its row, when there is one,
+        // is the whole dual (a bound from the variable box leaves y = 0).
+        Ok(MinParamOutcome::Optimal { witness: None, .. }) => {
+            sys.param_lower_row().into_iter().collect()
+        }
+        Ok(MinParamOutcome::Infeasible(cert)) if cert.check(p) => {
+            return Err(infeasibility_error(circuit, model, &cert));
+        }
+        Ok(MinParamOutcome::Infeasible(_)) | Err(_) => return Ok(None),
+    };
+    let mut y = vec![0.0; p.num_constraints()];
+    if support.is_empty() {
+        return Ok(Some(y));
+    }
+    let tc_coef = |c: smo_lp::ConstraintId| {
+        p.constraint(c)
+            .0
+            .iter()
+            .find(|&(v, _)| v == tc)
+            .map_or(0.0, |(_, a)| a)
+    };
+    let slope: f64 = support.iter().map(|&(c, m)| m * tc_coef(c)).sum();
+    if slope <= Tol::TIGHT.rel() {
+        return Ok(None);
+    }
+    for (c, m) in support {
+        y[c.index()] += m / slope;
+    }
+    Ok(Some(y))
 }
 
 /// Maps graph node potentials back to an LP-variable point, with the same

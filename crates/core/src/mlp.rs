@@ -47,7 +47,7 @@ pub struct MlpOptions {
     /// start as early and are as narrow as the constraints allow.
     pub canonicalize: bool,
     /// Which simplex implementation solves the LPs (dense tableau or
-    /// sparse revised; identical results, different scaling).
+    /// sparse LU; identical results, different scaling).
     pub simplex: smo_lp::SimplexVariant,
     /// When `true` (the default), every LP verdict is independently
     /// machine-checked via [`smo_lp::Problem::solve_certified`]: an
@@ -64,14 +64,12 @@ pub struct MlpOptions {
     /// model returns [`smo_lp::LpError::Budget`] promptly on *every*
     /// backend and certification mode.
     pub time_limit: Option<std::time::Duration>,
-    /// Which solver backs the cycle-time computation (see [`Backend`]).
-    /// Defaults to [`Backend::Lp`] so library callers see the exact
-    /// behavior of earlier releases; the `smo` CLI passes
-    /// [`Backend::Auto`].
+    /// Which solver backs the cycle-time computation (see [`Backend`];
+    /// defaults to [`Backend::default`]).
     pub backend: Backend,
     /// Simplex pricing strategy, honored by the sparse-LU variant on
-    /// every LP this solve runs (certified rungs included); the dense and
-    /// revised variants ignore it. All strategies give identical verdicts
+    /// every LP this solve runs (certified rungs included); the dense
+    /// variant ignores it. All strategies give identical verdicts
     /// and objectives — this only trades pivot-selection cost against
     /// pivot count.
     pub pricing: smo_lp::Pricing,
@@ -86,7 +84,7 @@ impl Default for MlpOptions {
             simplex: smo_lp::SimplexVariant::default(),
             certify: true,
             time_limit: None,
-            backend: Backend::Lp,
+            backend: Backend::default(),
             pricing: smo_lp::Pricing::default(),
         }
     }

@@ -667,7 +667,7 @@ impl TimingModel {
     }
 
     /// Like [`TimingModel::solve_lp`] with an explicit simplex
-    /// implementation (the dense/revised ablation of DESIGN.md).
+    /// implementation (dense tableau or sparse LU).
     ///
     /// # Errors
     ///

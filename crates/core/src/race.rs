@@ -50,7 +50,7 @@ use smo_lp::Tol;
 use std::fmt;
 
 /// Options for [`race_analysis`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RaceOptions {
     /// Constraint-generation options for the solve (extras like minimum
     /// phase widths participate in the schedule the races are checked at).
@@ -61,16 +61,6 @@ pub struct RaceOptions {
     /// Analyse at this cycle time instead of the solved optimum. The value
     /// must admit a feasible schedule.
     pub cycle_time: Option<f64>,
-}
-
-impl Default for RaceOptions {
-    fn default() -> Self {
-        RaceOptions {
-            constraints: ConstraintOptions::default(),
-            backend: Backend::Lp,
-            cycle_time: None,
-        }
-    }
 }
 
 /// One double-clocking race, with every term of the violated short-path

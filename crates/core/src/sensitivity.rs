@@ -6,7 +6,8 @@
 //! This module packages both:
 //!
 //! * [`delay_sensitivities`] — `dT_c*/dΔ` for *every* edge at once, read
-//!   off the LP duals of one solve (zero for non-critical edges);
+//!   off one optimal dual (zero for non-critical edges) — the graph's
+//!   critical-cycle witness on pure models, the simplex on mixed ones;
 //! * [`cycle_time_curve`] — the exact piecewise-linear `T_c*(Δ_e)` for one
 //!   edge over a delay range, via the parametric-RHS simplex (this is how
 //!   `fig7_sweep` recovers the breakpoints of Fig. 7 exactly).
@@ -16,7 +17,8 @@ use crate::model::{ConstraintKind, TimingModel};
 use smo_circuit::{Circuit, EdgeId};
 use smo_lp::{parametric_rhs, ParametricCurve};
 
-/// `dT_c*/dΔ` per edge (indexed by edge index), from one LP solve.
+/// `dT_c*/dΔ` per edge (indexed by edge index), from one optimal dual
+/// (the same one [`critical_report`](crate::critical_report) reads).
 ///
 /// Entries are in `[0, 1]` for circuits whose optimum is achieved (the
 /// delay of an edge can be shared among at most one cycle's worth of
@@ -24,7 +26,8 @@ use smo_lp::{parametric_rhs, ParametricCurve};
 ///
 /// # Errors
 ///
-/// Propagates LP failures from [`TimingModel::solve_lp`].
+/// [`TimingError::Infeasible`] when the model admits no schedule, and LP
+/// failures from [`TimingModel::solve_lp`] on mixed models.
 ///
 /// # Examples
 ///
@@ -51,7 +54,7 @@ pub fn delay_sensitivities(
     circuit: &Circuit,
     model: &TimingModel,
 ) -> Result<Vec<f64>, TimingError> {
-    let sol = model.solve_lp()?;
+    let duals = crate::critical::optimal_duals(circuit, model)?;
     let mut out = vec![0.0; circuit.num_edges()];
     for info in model.constraints() {
         if matches!(
@@ -62,7 +65,7 @@ pub fn delay_sensitivities(
                 // A Ge propagation row's dual is ≥ 0 in a minimize problem;
                 // a FF-setup Le row's dual is ≤ 0 and its RHS carries −Δ, so
                 // dTc/dΔ = −dual. |dual| covers both.
-                out[edge.index()] += sol.dual(info.row).abs();
+                out[edge.index()] += duals[info.row.index()].abs();
             }
         }
     }

@@ -26,9 +26,9 @@
 //! ([`TimingModel::set_edge_delay`]), never the matrix. A basis that was
 //! optimal for the base delays therefore stays *dual feasible* after any
 //! perturbation, and each re-solve is a short dual-simplex repair instead
-//! of a from-scratch phase 1 — with the revised variant additionally
-//! reusing the factorized `B⁻¹` across the whole sweep (the snapshot's
-//! matrix fingerprint certifies the reuse is sound).
+//! of a from-scratch phase 1. The default sparse-LU variant refactorizes
+//! the snapshot basis in `O(nnz)` per re-solve, so no factor needs to be
+//! cached between runs.
 //!
 //! ## Determinism contract
 //!
@@ -85,9 +85,10 @@ pub struct SweepOptions {
     /// the work-item count and to [`std::thread::available_parallelism`],
     /// so over-subscribing a small container no longer costs throughput.
     pub jobs: usize,
-    /// Simplex implementation for the base and warm solves. The revised
-    /// variant reuses its factorization across RHS-only re-solves and is
-    /// the right default for sweeps.
+    /// Simplex implementation for the base and warm solves. The sparse-LU
+    /// variant (default) refactorizes a warm basis in `O(nnz)`, which makes
+    /// its RHS-only re-solves the cheapest; the dense tableau is the
+    /// paper-faithful oracle.
     pub variant: SimplexVariant,
     /// Route every re-solve through the certified ladder
     /// ([`TimingModel::solve_lp_certified_from_basis`]) instead of the
@@ -95,8 +96,8 @@ pub struct SweepOptions {
     /// independently KKT-checked against raw problem data.
     pub certify: bool,
     /// Simplex pricing strategy for every solve in the sweep, honored by
-    /// the sparse-LU variant only (the default revised variant ignores
-    /// it). Identical verdicts and optima under every strategy.
+    /// the sparse-LU variant only (the dense variant ignores it).
+    /// Identical verdicts and optima under every strategy.
     pub pricing: smo_lp::Pricing,
 }
 
@@ -107,7 +108,7 @@ impl Default for SweepOptions {
             runs: 16,
             seed: 0,
             jobs: 1,
-            variant: SimplexVariant::Revised,
+            variant: SimplexVariant::SparseLu,
             certify: false,
             pricing: smo_lp::Pricing::default(),
         }
@@ -173,8 +174,7 @@ struct BaseSolve {
 /// `options.jobs` threads that claim work from a shared atomic counter.
 /// Each worker keeps a private basis cache keyed by the circuit's
 /// standard-form matrix fingerprint, so structurally identical circuits
-/// share one warm-start basis per worker — and, through the snapshot's
-/// factor cache, one `B⁻¹` factorization.
+/// share one warm-start basis per worker.
 ///
 /// # Errors
 ///
@@ -208,15 +208,6 @@ pub fn sweep_cycle_time(
             })?;
             let cycle_time = sol.value(model.vars().tc());
             let iterations = sol.iterations();
-            // Prime the snapshot's factor cache with one warm re-solve of
-            // the unperturbed model: the revised path stores B⁻¹ in the
-            // snapshot on first warm use, so every worker's clone of this
-            // basis shares one factorization instead of re-deriving it.
-            if matches!(options.variant, SimplexVariant::Revised) && !basis.has_cached_factor() {
-                let _ = model
-                    .problem()
-                    .solve_from_basis_with(options.variant, &basis);
-            }
             Ok(BaseSolve {
                 model,
                 fingerprint,
@@ -242,9 +233,7 @@ pub fn sweep_cycle_time(
     let work = |_worker: usize| -> Result<Vec<(usize, SweepRun)>, (usize, TimingError)> {
         let mut out = Vec::new();
         // The per-worker basis cache. Keyed by matrix fingerprint, so two
-        // structurally identical circuits in the batch share an entry; the
-        // cached snapshot also owns this worker's factorization cache (or
-        // shares the base solve's, when the revised solver seeded it).
+        // structurally identical circuits in the batch share an entry.
         let mut cache: HashMap<u64, Basis> = HashMap::new();
         // The per-worker model cache: one clone of each circuit's base
         // model, perturbed in place (RHS only) and restored after every

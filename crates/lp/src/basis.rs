@@ -16,21 +16,13 @@
 //! cold two-phase solve, so warm starts can never change a verdict — only
 //! the work needed to reach it.
 //!
-//! Two pieces of derived data ride along:
-//!
-//! * `matrix_hash` — an FNV-1a hash over the standard-form constraint
-//!   *matrix* (coefficients only; the RHS is deliberately excluded). Two
-//!   problems with equal hashes have the same columns, so a factorization
-//!   of this basis is valid for both — exactly the RHS-only perturbation
-//!   case of delay sweeps.
-//! * `factor` — a lazily cached dense `B⁻¹` for the revised simplex,
-//!   shared across clones via `Arc` and filled in by the first warm solve
-//!   that has to refactorize. Subsequent warm solves from the same
-//!   snapshot (the per-topology cache of the sweep engine) skip the
-//!   `O(m³)` rebuild entirely.
+//! One piece of derived data rides along: `matrix_hash`, an FNV-1a hash
+//! over the standard-form constraint *matrix* (coefficients only; the RHS
+//! is deliberately excluded). Two problems with equal hashes have the same
+//! columns, so a factorization of this basis is valid for both — exactly
+//! the RHS-only perturbation case of delay sweeps.
 
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
 
 /// What one basic column was, in problem-structure terms. Mirrors the
 /// solver-internal `ColKind`, minus raw column indices.
@@ -52,8 +44,8 @@ pub(crate) enum BasisEntry {
 /// usable to warm-start later solves of the same (or a perturbed) model.
 ///
 /// See the [module docs](crate::basis) for the compatibility and fallback
-/// rules. The snapshot is plain data (plus a shared factorization cache)
-/// and is cheap to clone and to keep in per-topology caches.
+/// rules. The snapshot is plain data, `O(rows)` in size, and is cheap to
+/// clone and to keep in per-topology caches.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Basis {
     /// One entry per standard-form row, in basis-position order.
@@ -66,10 +58,6 @@ pub struct Basis {
     pub(crate) ncols: usize,
     /// FNV-1a hash of the standard-form constraint matrix (no RHS).
     pub(crate) matrix_hash: u64,
-    /// Cached dense `B⁻¹` of *this* basis, valid for any problem whose
-    /// `matrix_hash` matches. Filled by the first revised warm solve that
-    /// refactorizes; shared across clones.
-    pub(crate) factor: OnceLock<Arc<Vec<Vec<f64>>>>,
 }
 
 impl Basis {
@@ -80,43 +68,22 @@ impl Basis {
 
     /// Hash of the standard-form constraint matrix the snapshot was taken
     /// from. Problems sharing this hash differ at most in their RHS, so a
-    /// cached factorization of the basis applies to them directly.
+    /// factorization of the basis applies to them directly.
     pub fn matrix_hash(&self) -> u64 {
         self.matrix_hash
     }
 
-    /// `true` once a warm solve has cached a factorization of this basis.
-    pub fn has_cached_factor(&self) -> bool {
-        self.factor.get().is_some()
+    /// Approximate memory footprint of the snapshot in bytes: `O(size)`,
+    /// one entry per basic column plus the fixed header. What a cache
+    /// budgeting its entries should charge.
+    pub fn footprint_bytes(&self) -> usize {
+        std::mem::size_of::<Basis>() + self.entries.len() * std::mem::size_of::<BasisEntry>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clones_share_the_factor_cache() {
-        let b = Basis {
-            entries: vec![BasisEntry::Slack { row: 0 }],
-            num_vars: 1,
-            user_rows: 1,
-            ncols: 2,
-            matrix_hash: 42,
-            factor: OnceLock::new(),
-        };
-        assert!(!b.has_cached_factor());
-        b.factor
-            .set(Arc::new(vec![vec![1.0]]))
-            .expect("first set succeeds");
-        // A clone made *after* caching sees the same factor.
-        let c = b.clone();
-        assert!(c.has_cached_factor());
-        assert!(Arc::ptr_eq(
-            b.factor.get().expect("set"),
-            c.factor.get().expect("cloned")
-        ));
-    }
 
     #[test]
     fn accessors_report_snapshot_shape() {
@@ -132,9 +99,9 @@ mod tests {
             user_rows: 2,
             ncols: 7,
             matrix_hash: 7,
-            factor: OnceLock::new(),
         };
         assert_eq!(b.size(), 2);
         assert_eq!(b.matrix_hash(), 7);
+        assert!(b.footprint_bytes() >= 2 * std::mem::size_of::<BasisEntry>());
     }
 }

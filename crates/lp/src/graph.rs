@@ -637,6 +637,17 @@ impl DifferenceSystem {
         (self.lambda_lower, self.lambda_upper)
     }
 
+    /// The row that sets the parameter's lower bound, with the multiplier
+    /// that turns it into `λ ≥ lower` (unit `λ` coefficient) — the LP dual
+    /// of that row when `λ*` sits on the bound. `None` when the bound is
+    /// the parameter variable's own box.
+    pub fn param_lower_row(&self) -> Option<(ConstraintId, f64)> {
+        match self.lambda_lower_src {
+            ParamBoundSrc::Row { c, sign, coef } => Some((c, sign / coef)),
+            ParamBoundSrc::VarBound => None,
+        }
+    }
+
     /// Bellman–Ford feasibility at a fixed parameter: either a feasible
     /// potential assignment (the DBM closure relative to the origin) or a
     /// negative-cycle witness.

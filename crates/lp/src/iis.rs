@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn farkas_certificate_is_produced_and_verifies() {
         let (p, _) = tiny_conflict();
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
+        for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
             let sol = p.solve_with(variant).unwrap();
             assert_eq!(sol.status(), Status::Infeasible);
             let y = sol

@@ -83,7 +83,6 @@ mod presolve;
 mod pricing;
 mod problem;
 mod recover;
-mod revised;
 mod scale;
 mod simplex;
 mod solution;

@@ -1173,7 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn revised_variant_agrees_through_presolve() {
+    fn sparse_variant_agrees_through_presolve() {
         let mut p = Problem::new();
         let x = p.add_var("x");
         let y = p.add_var("y");
@@ -1185,12 +1185,12 @@ mod tests {
             .unwrap()
             .objective()
             .unwrap();
-        let revised = p
-            .solve_with_presolve(SimplexVariant::Revised, &on())
+        let sparse = p
+            .solve_with_presolve(SimplexVariant::SparseLu, &on())
             .unwrap()
             .objective()
             .unwrap();
-        assert_eq!(dense, revised);
+        assert_eq!(dense, sparse);
         assert_eq!(dense, 7.0);
     }
 

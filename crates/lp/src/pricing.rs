@@ -19,7 +19,7 @@
 //!   modes still switch to Bland automatically after the shared
 //!   anti-cycling iteration threshold, exactly as before.
 //!
-//! The dense and revised variants price their whole tableau rows by
+//! The dense variant prices its whole tableau rows by
 //! construction and ignore the setting (documented on
 //! [`Pricing`]).
 
@@ -28,7 +28,7 @@
 use crate::EPS;
 
 /// Simplex pricing strategy (honored by the sparse-LU variant; the dense
-/// and revised variants always price the full column set and ignore it).
+/// variant always prices the full column set and ignores it).
 /// All strategies produce the same verdict and optimum — they differ only
 /// in which eligible column enters first, i.e. in the path taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -2,7 +2,6 @@
 
 use crate::error::LpError;
 use crate::expr::{LinExpr, VarId};
-use crate::revised;
 use crate::simplex;
 use crate::solution::Solution;
 use serde::{Deserialize, Serialize};
@@ -10,17 +9,17 @@ use std::fmt;
 
 /// Which simplex implementation [`Problem::solve_with`] runs.
 ///
-/// All variants produce the same statuses and optima; see the
-/// [`revised`-module docs](crate) for the performance trade-off (the
-/// revised variant exploits the 0/±1 sparsity of SMO constraint matrices)
-/// and the [`sparse`-module docs](crate) for the large-model variant.
+/// Both variants produce the same statuses and optima. The dense tableau
+/// is the paper-faithful oracle (its §V prototype was "a dense-matrix LP
+/// solver") and the engine of parametric analysis; the sparse-LU variant
+/// is the one to use on large models. Pure difference-constraint timing
+/// models never reach either by default: they are answered on the
+/// certified graph path (`smo_core::Backend::Auto`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SimplexVariant {
     /// Classical dense tableau (default; required for parametric analysis).
     #[default]
     Dense,
-    /// Revised simplex with a dense product-form inverse.
-    Revised,
     /// Sparse-LU revised simplex: Markowitz-ordered basis factorization,
     /// bounded-eta updates, devex pricing. The only variant whose
     /// per-solve memory and refactorization cost scale with the matrix
@@ -309,8 +308,8 @@ impl Problem {
     }
 
     /// [`Problem::solve_with_budget`] with an explicit pricing strategy.
-    /// Pricing is honored by the sparse-LU variant; the dense and revised
-    /// variants price their full tableau rows by construction and ignore
+    /// Pricing is honored by the sparse-LU variant; the dense variant
+    /// prices its full tableau rows by construction and ignores
     /// it. Every strategy yields the same verdict and optimum.
     ///
     /// # Errors
@@ -325,7 +324,6 @@ impl Problem {
         self.validate()?;
         match variant {
             SimplexVariant::Dense => simplex::solve_budgeted(self, budget),
-            SimplexVariant::Revised => revised::solve_budgeted(self, budget),
             SimplexVariant::SparseLu => crate::sparse::solve_budgeted(self, budget, pricing),
         }
     }
@@ -394,7 +392,6 @@ impl Problem {
         self.validate()?;
         match variant {
             SimplexVariant::Dense => simplex::solve_from_basis_budgeted(self, basis, budget),
-            SimplexVariant::Revised => revised::solve_from_basis_budgeted(self, basis, budget),
             SimplexVariant::SparseLu => {
                 crate::sparse::solve_from_basis_budgeted(self, basis, budget, pricing)
             }

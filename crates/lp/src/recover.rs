@@ -11,7 +11,7 @@
 //! is walked, cheapest rung first:
 //!
 //! 1. **Initial solve** with the requested [`SimplexVariant`].
-//! 2. **Alternate variant** — the dense tableau and the revised simplex
+//! 2. **Alternate variant** — the dense tableau and the sparse-LU simplex
 //!    have independent failure modes (accumulated pivot error vs eta-file
 //!    drift), so the other implementation often succeeds where one fails.
 //! 3. **Geometric-mean equilibration** ([`crate::scale`]) — re-solve the
@@ -144,7 +144,7 @@ pub struct RecoveryPolicy {
     /// ladder; `max_iterations` bounds each individual solve.
     pub budget: SolveBudget,
     /// Pricing strategy, honored by the sparse-LU variant on every rung
-    /// (the dense/revised variants ignore it).
+    /// (the dense variant ignores it).
     pub pricing: crate::Pricing,
 }
 
@@ -211,15 +211,13 @@ impl CertifiedSolution {
 }
 
 /// The alternate simplex implementation tried by the
-/// [`RecoveryStep::AlternateVariant`] rung. Dense and revised cross-check
-/// each other; the sparse-LU variant falls back to the revised simplex
-/// (a genuinely different factorization and pricing scheme, but one that
-/// is still tractable on models the sparse path was chosen for).
+/// [`RecoveryStep::AlternateVariant`] rung: the dense tableau and the
+/// sparse-LU simplex cross-check each other (different factorization and
+/// pricing schemes, so their numerical failure modes are independent).
 fn other(v: SimplexVariant) -> SimplexVariant {
     match v {
-        SimplexVariant::Dense => SimplexVariant::Revised,
-        SimplexVariant::Revised => SimplexVariant::Dense,
-        SimplexVariant::SparseLu => SimplexVariant::Revised,
+        SimplexVariant::Dense => SimplexVariant::SparseLu,
+        SimplexVariant::SparseLu => SimplexVariant::Dense,
     }
 }
 

@@ -25,7 +25,6 @@ use crate::error::LpError;
 use crate::problem::{Problem, Sense};
 use crate::solution::{Solution, Status};
 use crate::EPS;
-use std::sync::OnceLock;
 
 /// What a standard-form column represents.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,8 +109,8 @@ impl Tableau {
     /// layout: one row of width `ncols + 2` per constraint (columns, then
     /// RHS, then the parametric Δ). Every standard-form convention —
     /// column order, RHS normalization, the matrix hash — is inherited
-    /// from [`StdForm`](crate::sparse::StdForm), so the dense, revised,
-    /// and sparse-LU variants agree on them by construction.
+    /// from [`StdForm`](crate::sparse::StdForm), so the dense and
+    /// sparse-LU variants agree on them by construction.
     pub(crate) fn from_std_form(sf: crate::sparse::StdForm) -> Tableau {
         let m = sf.m;
         let ncols = sf.ncols;
@@ -145,7 +144,7 @@ impl Tableau {
     }
 
     /// Snapshots an arbitrary basic-column list as a [`Basis`] in
-    /// problem-structure terms (used by both simplex variants).
+    /// problem-structure terms.
     pub(crate) fn capture_basis_from(&self, basic: &[usize]) -> Basis {
         let entries = basic
             .iter()
@@ -165,7 +164,6 @@ impl Tableau {
             user_rows: self.user_rows,
             ncols: self.ncols,
             matrix_hash: self.matrix_hash,
-            factor: OnceLock::new(),
         }
     }
 
@@ -529,17 +527,6 @@ impl Tableau {
         out
     }
 
-    /// Maps a standard-row dual vector `y = c_B·B⁻¹` to user-constraint
-    /// duals (undoing row normalization flips and the minimize orientation).
-    pub(crate) fn map_duals(&self, y: &[f64]) -> Vec<f64> {
-        (0..self.user_rows)
-            .map(|r| {
-                let v = if self.row_flip[r] { -y[r] } else { y[r] };
-                self.sense_factor * v
-            })
-            .collect()
-    }
-
     /// Maps a standard-row dual vector back to user rows undoing only the
     /// normalization flips — **not** the objective orientation.
     ///
@@ -575,20 +562,6 @@ impl Tableau {
                         unreachable!("dual col is a slack or artificial")
                     }
                 }
-            })
-            .collect()
-    }
-
-    /// Maps standard-column reduced costs to user-variable reduced costs.
-    pub(crate) fn map_reduced_costs(&self, z: &[f64]) -> Vec<f64> {
-        self.var_cols
-            .iter()
-            .map(|vc| {
-                let col = match *vc {
-                    VarCols::Shifted { col, .. } => col,
-                    VarCols::Split { pos, .. } => pos,
-                };
-                self.sense_factor * z[col]
             })
             .collect()
     }

@@ -54,8 +54,8 @@ pub struct Solution {
 
 /// Factorization and update counters from a sparse-LU solve, for
 /// attributing where the time went (exposed per variant in
-/// `BENCH_scale.json`). `None` on the dense/revised variants, which have
-/// no eta file.
+/// `BENCH_scale.json`). `None` on the dense variant, which has no eta
+/// file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SolveStats {
     /// Fresh basis factorizations after the initial one.
@@ -119,7 +119,7 @@ impl Solution {
     }
 
     /// Sparse-LU kernel counters (refactorizations, eta fill) for this
-    /// solve; `None` under the dense and revised variants.
+    /// solve; `None` under the dense variant.
     pub fn stats(&self) -> Option<&SolveStats> {
         self.stats.as_ref()
     }

@@ -1,11 +1,10 @@
 //! Sparse-LU revised simplex: CSC standard form, Markowitz-ordered basis
 //! factorization with bounded-eta updates, and devex pricing.
 //!
-//! The third solver variant ([`SimplexVariant::SparseLu`]
+//! The large-model solver variant ([`SimplexVariant::SparseLu`]
 //! (crate::SimplexVariant::SparseLu)), built for the 10k–100k-latch
-//! netlists the paper's §VI scaling discussion anticipates. The existing
-//! revised simplex ([`crate::revised`]) keeps a *dense* `B⁻¹` and rebuilds
-//! it by `O(m³)` Gauss–Jordan every few hundred pivots — fine at the
+//! netlists the paper's §VI scaling discussion anticipates. The dense
+//! tableau ([`crate::simplex`]) holds an `m×n` matrix — fine at the
 //! paper's ~650-row scale, hopeless at 10k rows. This module removes every
 //! dense `m×m` object:
 //!
@@ -16,7 +15,7 @@
 //!   FNV-1a matrix hash): the dense tableau of [`crate::simplex`] is
 //!   densified *from* it, so a [`Basis`] snapshot, a cached
 //!   `matrix_hash`, or a dual vector means exactly the same thing under
-//!   all three variants by construction.
+//!   both variants by construction.
 //! * **[`LuFactors`]** — a sparse LU factorization of the basis with
 //!   Markowitz pivot ordering (minimize `(r−1)(c−1)` fill bound, subject
 //!   to a relative stability threshold), forward/backward substitution in
@@ -29,9 +28,9 @@
 //! * **devex pricing** — reference-framework weights approximate
 //!   steepest-edge at Dantzig cost, cutting pivot counts on the long thin
 //!   models the large-circuit generator emits; the Bland anti-cycling
-//!   fallback of the sibling variants is retained unchanged.
+//!   fallback of the dense variant is retained unchanged.
 //!
-//! Results remain interchangeable with the other variants at the
+//! Results remain interchangeable with the dense variant at the
 //! [`Solution`] level — same statuses, same optima, same certificates —
 //! which `tests/scale_differential.rs` enforces on every shipped circuit,
 //! the stress suite, random circuits, and generated 1k/5k-row models.
@@ -48,7 +47,6 @@ use crate::problem::{Objective, Problem, Sense};
 use crate::simplex::ColKind;
 use crate::solution::{Solution, SolveStats, Status};
 use crate::EPS;
-use std::sync::OnceLock;
 
 /// Hard cap on eta-file length between refactorizations — a safety valve
 /// behind the fill-aware trigger ([`LuFactors::fill_exceeded`]), which is
@@ -390,7 +388,6 @@ impl StdForm {
             user_rows: self.user_rows,
             ncols: self.ncols,
             matrix_hash: self.matrix_hash,
-            factor: OnceLock::new(),
         }
     }
 
@@ -1506,9 +1503,7 @@ fn solve_inner(
 }
 
 /// Packages an optimal [`SparseCore`] as a [`Solution`] with the basis
-/// snapshot for warm restarts. (No dense factor is seeded into the
-/// snapshot cache — the sparse path refactorizes in `O(nnz)`, so adopting
-/// a dense `B⁻¹` would cost more than it saves.)
+/// snapshot for warm restarts.
 fn package_optimal(p: &Problem, core: &SparseCore) -> Result<Solution, LpError> {
     let mut col_values = vec![0.0; core.sf.ncols];
     for (r, &j) in core.basis.iter().enumerate() {
@@ -1641,8 +1636,8 @@ fn warm_optimize(core: &mut SparseCore, basis: &Basis) -> Result<bool, LpError> 
     for &j in &core.basis {
         core.in_basis[j] = true;
     }
-    // A fresh sparse factorization is O(nnz): no dense factor cache to
-    // adopt, just factorize the snapshot basis directly.
+    // A fresh sparse factorization is O(nnz): factorize the snapshot
+    // basis directly.
     if core.refactorize().is_err() {
         return Ok(false); // snapshot basis singular for this matrix
     }
@@ -1844,21 +1839,18 @@ mod tests {
         }
     }
 
-    fn all3(p: &Problem) -> (crate::Solution, crate::Solution, crate::Solution) {
+    fn both(p: &Problem) -> (crate::Solution, crate::Solution) {
         let d = p.solve().expect("dense solves");
-        let r = p
-            .solve_with(SimplexVariant::Revised)
-            .expect("revised solves");
         let s = p
             .solve_with(SimplexVariant::SparseLu)
             .expect("sparse solves");
-        (d, r, s)
+        (d, s)
     }
 
     #[test]
     fn agrees_on_textbook_max() {
         let p = textbook_max();
-        let (d, _, s) = all3(&p);
+        let (d, s) = both(&p);
         assert!(near(s.objective().unwrap(), 36.0));
         assert!(near(d.objective().unwrap(), s.objective().unwrap()));
         assert!(s.certify(&p).is_valid(), "{}", s.certify(&p));
@@ -1895,7 +1887,7 @@ mod tests {
         p.constrain(LinExpr::from(t) + x, Sense::Ge, 3.0);
         p.constrain(x.into(), Sense::Eq, 5.0);
         p.minimize(t.into());
-        let (d, _, s) = all3(&p);
+        let (d, s) = both(&p);
         assert!(near(d.objective().unwrap(), s.objective().unwrap()));
     }
 
@@ -1968,9 +1960,8 @@ mod tests {
         p.constrain(LinExpr::from(d) + g, Sense::Ge, 7.0);
         p.constrain(2.0 * g - tc, Sense::Le, 0.0);
         p.minimize(tc.into());
-        let (dd, rr, ss) = all3(&p);
+        let (dd, ss) = both(&p);
         assert!(near(dd.objective().unwrap(), 8.0));
-        assert!(near(rr.objective().unwrap(), 8.0));
         assert!(near(ss.objective().unwrap(), 8.0));
     }
 }

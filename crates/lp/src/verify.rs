@@ -349,7 +349,7 @@ mod tests {
     #[test]
     fn accepts_both_variants_on_a_tiny_lp() {
         let p = tiny();
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
+        for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
             let sol = p.solve_with(variant).expect("solves");
             let cert = sol.certify(&p);
             assert!(cert.is_valid(), "{variant:?}: {cert}");
@@ -492,7 +492,7 @@ mod tests {
         #[test]
         fn prop_certify_accepts_optimal_solves(spec in lp_strategy()) {
             let p = build_lp(&spec);
-            for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
+            for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
                 let sol = p.solve_with(variant).expect("runs");
                 if sol.status() == Status::Optimal {
                     let cert = sol.certify(&p);

@@ -59,7 +59,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   smo optimize <netlist>                         minimum cycle time + schedule
   smo solve    <netlist> [--backend auto|graph|lp] [--no-certify]
-               [--variant dense|revised|sparse]
+               [--variant dense|sparse]
                [--pricing devex|partial|bland] [--max-input-mb N]
                [--time-limit <secs>] [--json]
                                                  minimum cycle time with every
@@ -135,7 +135,7 @@ const USAGE: &str = "usage:
                                                  scale × the optimal schedule
   smo sweep    <netlist> [--param tc|delay] [--runs N] [--jobs N] [--json]
                [--edge E] [--max-delay D] [--spread S] [--seed S] [--certify]
-               [--variant dense|revised|sparse]
+               [--variant dense|sparse]
                [--pricing devex|partial|bland] [--max-input-mb N]
                                                  warm-started cycle-time sweep:
                                                  `tc` grids one edge's delay
@@ -178,10 +178,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "solve" => {
             let mut path = None;
-            let mut options = MlpOptions {
-                backend: Backend::Auto,
-                ..Default::default()
-            };
+            let mut options = MlpOptions::default();
             let mut json = false;
             let mut max_mb = None;
             let mut it = rest.iter();
@@ -338,7 +335,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "verify" => {
-            let mut backend = Backend::Auto;
+            let mut backend = Backend::default();
             let mut positional: Vec<&String> = Vec::new();
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
@@ -977,12 +974,11 @@ fn parse_pricing(it: &mut std::slice::Iter<'_, String>) -> Result<Pricing, Strin
 fn parse_variant(it: &mut std::slice::Iter<'_, String>) -> Result<SimplexVariant, String> {
     match it.next().map(String::as_str) {
         Some("dense") => Ok(SimplexVariant::Dense),
-        Some("revised") => Ok(SimplexVariant::Revised),
         Some("sparse") => Ok(SimplexVariant::SparseLu),
         Some(other) => Err(format!(
-            "bad --variant `{other}` (expected dense, revised or sparse)"
+            "bad --variant `{other}` (expected dense or sparse)"
         )),
-        None => Err("--variant needs a value (dense, revised or sparse)".into()),
+        None => Err("--variant needs a value (dense or sparse)".into()),
     }
 }
 

@@ -104,7 +104,7 @@ fn presolved_and_plain_solves_agree_on_shipped_circuits() {
             .presolve(&PresolveOptions::default())
             .stats()
             .rows_removed();
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
+        for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
             let pre = model
                 .problem()
                 .solve_with_presolve(variant, &PresolveOptions::default())

@@ -665,3 +665,40 @@ fn check_rejects_bad_arguments() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument"));
 }
+
+#[test]
+fn variant_flag_accepts_dense_and_sparse_only() {
+    for cmd in ["solve", "sweep"] {
+        for variant in ["dense", "sparse"] {
+            let mut args = vec![cmd, "circuits/example1.ckt", "--variant", variant];
+            if cmd == "solve" {
+                args.extend(["--backend", "lp"]);
+            } else {
+                args.extend(["--runs", "2"]);
+            }
+            let out = smo(&args);
+            assert!(
+                out.status.success(),
+                "{cmd} --variant {variant}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(
+                stdout(&out).contains("110.000000"),
+                "{cmd} --variant {variant}"
+            );
+        }
+        // The removed revised variant is a structured usage error naming
+        // the valid values, not a silent fallback.
+        let out = smo(&[cmd, "circuits/example1.ckt", "--variant", "revised"]);
+        assert!(!out.status.success(), "{cmd} accepted --variant revised");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("error: bad --variant `revised` (expected dense or sparse)"),
+            "{cmd}: {err}"
+        );
+        assert!(
+            err.contains("[--variant dense|sparse]"),
+            "{cmd}: usage text"
+        );
+    }
+}

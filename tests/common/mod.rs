@@ -17,11 +17,7 @@ use smo::timing::TimingModel;
 pub fn solve_checked(p: &Problem, warm_from: Option<&Basis>) -> Solution {
     let cold = p.solve().expect("cold solve runs");
     if let Some(basis) = warm_from {
-        for variant in [
-            SimplexVariant::Dense,
-            SimplexVariant::Revised,
-            SimplexVariant::SparseLu,
-        ] {
+        for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
             let warm = p
                 .solve_from_basis_with(variant, basis)
                 .expect("warm solve runs");
@@ -61,11 +57,7 @@ pub fn min_tc_checked(circuit: &Circuit, warm_from: Option<&Basis>) -> (f64, Bas
     let cold = model.solve_lp().expect("plain SMO models are feasible");
     let tc = cold.objective();
     if let Some(basis) = warm_from {
-        for variant in [
-            SimplexVariant::Dense,
-            SimplexVariant::Revised,
-            SimplexVariant::SparseLu,
-        ] {
+        for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
             let warm = model
                 .solve_lp_from_basis(variant, basis)
                 .expect("warm solve runs");
@@ -81,6 +73,40 @@ pub fn min_tc_checked(circuit: &Circuit, warm_from: Option<&Basis>) -> (f64, Bas
         .cloned()
         .expect("optimal solve captures a basis");
     (tc, basis)
+}
+
+/// The graph-vs-LP differential batch: the paper's circuits plus 120
+/// deterministic random ones (latch-only and flip-flop-mixed).
+pub fn fastpath_batch() -> Vec<Circuit> {
+    use smo::gen::paper::{appendix_fig1, example1, example2, gaas_mips};
+    use smo::gen::random::{random_circuit, GenConfig};
+    let mut circuits: Vec<Circuit> = vec![
+        example1(80.0),
+        example1(0.0),
+        example2(),
+        gaas_mips(),
+        appendix_fig1(30.0, 2.0, 4.0),
+    ];
+    for seed in 0..60 {
+        circuits.push(random_circuit(
+            &GenConfig {
+                flip_flop_prob: 0.0,
+                ..Default::default()
+            },
+            seed,
+        ));
+        circuits.push(random_circuit(
+            &GenConfig {
+                latches: 10,
+                edges: 20,
+                phases: 3,
+                flip_flop_prob: 0.25,
+                ..Default::default()
+            },
+            1000 + seed,
+        ));
+    }
+    circuits
 }
 
 /// Loads a shipped netlist (relative to the repository root),

@@ -203,32 +203,7 @@ proptest! {
 /// pinned down without proptest's shrinking overhead.
 #[test]
 fn graph_and_lp_agree_on_shipped_and_batch_circuits() {
-    let mut circuits: Vec<Circuit> = vec![
-        example1(80.0),
-        example1(0.0),
-        example2(),
-        gaas_mips(),
-        appendix_fig1(30.0, 2.0, 4.0),
-    ];
-    for seed in 0..60 {
-        circuits.push(random_circuit(
-            &GenConfig {
-                flip_flop_prob: 0.0,
-                ..Default::default()
-            },
-            seed,
-        ));
-        circuits.push(random_circuit(
-            &GenConfig {
-                latches: 10,
-                edges: 20,
-                phases: 3,
-                flip_flop_prob: 0.25,
-                ..Default::default()
-            },
-            1000 + seed,
-        ));
-    }
+    let circuits = common::fastpath_batch();
     let mut graph_solved = 0usize;
     for (i, circuit) in circuits.iter().enumerate() {
         let lp = solve_on(circuit, Backend::Lp).expect("LP solves every batch circuit");

@@ -166,8 +166,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The dense and revised simplex implementations agree on status and
-    /// optimum across random LPs (including infeasible ones).
+    /// The dense tableau and the sparse-LU revised simplex agree on status
+    /// and optimum across random LPs (including infeasible ones).
     #[test]
     fn dense_and_revised_simplex_agree(
         rows in proptest::collection::vec(row_strategy(), 1..7),
@@ -193,11 +193,11 @@ proptest! {
         }
         p.minimize(cx * LinExpr::from(x) + cy * LinExpr::from(y) + cz * LinExpr::from(z));
         let dense = p.solve_with(SimplexVariant::Dense).expect("dense solves");
-        let revised = p.solve_with(SimplexVariant::Revised).expect("revised solves");
-        prop_assert_eq!(dense.status(), revised.status());
+        let sparse = p.solve_with(SimplexVariant::SparseLu).expect("sparse solves");
+        prop_assert_eq!(dense.status(), sparse.status());
         if dense.status() == Status::Optimal {
-            let (a, b) = (dense.objective().unwrap(), revised.objective().unwrap());
-            prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "dense {a} vs revised {b}");
+            let (a, b) = (dense.objective().unwrap(), sparse.objective().unwrap());
+            prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "dense {a} vs sparse {b}");
         }
     }
 }

@@ -15,11 +15,14 @@ use smo::gen::random::{random_circuit, GenConfig};
 use smo::gen::{paper, stress};
 use smo::lp::{Pricing, SimplexVariant, Tol};
 use smo::prelude::*;
-use smo::timing::{min_cycle_time_with, MlpOptions};
+use smo::timing::{min_cycle_time_with, Backend, MlpOptions};
 
-/// Certified sparse-LU solve under one pricing strategy.
+/// Certified sparse-LU solve under one pricing strategy. The simplex is
+/// named explicitly: the default backend answers these pure models on the
+/// graph, where pricing never runs.
 fn priced_tc(circuit: &Circuit, pricing: Pricing) -> f64 {
     let options = MlpOptions {
+        backend: Backend::Lp,
         simplex: SimplexVariant::SparseLu,
         certify: true,
         pricing,

@@ -182,26 +182,31 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Dense and revised simplex produce the same optimal cycle time on
-    /// random circuits (full MLP pipeline both times).
+    /// The dense tableau and the sparse-LU simplex produce the same
+    /// optimal cycle time on random circuits (full MLP pipeline on the LP
+    /// backend both times).
     #[test]
     fn prop_simplex_variants_agree_on_circuits(spec in spec_strategy()) {
         use smo::lp::SimplexVariant;
-        use smo::timing::MlpOptions;
+        use smo::timing::{Backend, MlpOptions};
         let circuit = build(&spec);
-        let dense = min_cycle_time(&circuit).expect("dense solves").cycle_time();
-        let revised = smo::timing::min_cycle_time_with(
-            &circuit,
-            &MlpOptions {
-                simplex: SimplexVariant::Revised,
-                ..Default::default()
-            },
-        )
-        .expect("revised solves")
-        .cycle_time();
+        let lp_tc = |simplex| {
+            smo::timing::min_cycle_time_with(
+                &circuit,
+                &MlpOptions {
+                    backend: Backend::Lp,
+                    simplex,
+                    ..Default::default()
+                },
+            )
+            .expect("simplex solves")
+            .cycle_time()
+        };
+        let dense = lp_tc(SimplexVariant::Dense);
+        let sparse = lp_tc(SimplexVariant::SparseLu);
         prop_assert!(
-            (dense - revised).abs() < 1e-6 * (1.0 + dense),
-            "dense {dense} vs revised {revised}"
+            (dense - sparse).abs() < 1e-6 * (1.0 + dense),
+            "dense {dense} vs sparse {sparse}"
         );
     }
 
@@ -233,7 +238,7 @@ proptest! {
         let circuit = build(&spec);
         let model = TimingModel::build(&circuit).expect("model");
         let plain = model.solve_lp().expect("optimal").objective();
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
+        for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
             let pre = model
                 .problem()
                 .solve_with_presolve(variant, &PresolveOptions::default())

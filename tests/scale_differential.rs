@@ -1,6 +1,5 @@
 //! Scale-differential suite: the sparse-LU simplex variant must agree
-//! with the dense tableau and the dense-inverse revised simplex on every
-//! circuit we can throw at it — the shipped netlists, the pathological
+//! with the dense tableau on every circuit we can throw at it — the shipped netlists, the pathological
 //! stress suite, proptest-random circuits, and generated pipelined
 //! datapaths at 1k and 5k constraint rows.
 //!
@@ -25,11 +24,7 @@ use smo::gen::stress;
 use smo::lp::{LpError, RecoveryPolicy, SimplexVariant, SolveBudget, Status, Tol};
 use smo::timing::TimingModel;
 
-const VARIANTS: [SimplexVariant; 3] = [
-    SimplexVariant::Dense,
-    SimplexVariant::Revised,
-    SimplexVariant::SparseLu,
-];
+const VARIANTS: [SimplexVariant; 2] = [SimplexVariant::Dense, SimplexVariant::SparseLu];
 
 /// Solves `circuit`'s cycle-time LP certified under every variant and
 /// asserts the verdicts agree; returns the shared verdict.
@@ -133,7 +128,7 @@ fn generated_1k_rows_agree_under_time_budget() {
 }
 
 /// ~5 000 constraint rows: the sparse-LU variant must certify an optimum
-/// within the budget; dense and revised either agree or hit the deadline
+/// within the budget; the dense tableau either agrees or hits the deadline
 /// honestly (`LpError::Budget`) — at this size the dense tableau is
 /// expected to time out, which is the point of the sparse path.
 #[test]
@@ -158,28 +153,26 @@ fn generated_5k_rows_sparse_certifies_under_time_budget() {
     assert_eq!(sparse.status(), Status::Optimal);
     let tc = sparse.solution().objective().expect("optimal objective");
 
-    // Dense and revised get a shorter leash: at this size they are
-    // expected to hit the deadline (that is the point of the sparse
-    // path), so the budget mostly bounds CI time.
+    // The dense tableau gets a shorter leash: at this size it is expected
+    // to hit the deadline (that is the point of the sparse path), so the
+    // budget mostly bounds CI time.
     let budget = SolveBudget::with_time_limit(Duration::from_secs(45));
-    for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-        match model.problem().solve_certified(&RecoveryPolicy {
-            variant,
-            budget,
-            ..Default::default()
-        }) {
-            Ok(certified) => {
-                assert_eq!(certified.status(), Status::Optimal, "{variant:?}");
-                let other = certified.solution().objective().expect("optimal objective");
-                assert!(
-                    Tol::TIGHT.is_zero(other - tc, tc),
-                    "{variant:?} Tc {other} vs sparse {tc}"
-                );
-            }
-            Err(LpError::Budget { timed_out, .. }) => {
-                assert!(timed_out, "{variant:?} exhausted iterations, not time");
-            }
-            Err(e) => panic!("{variant:?}: unexpected failure: {e}"),
+    match model.problem().solve_certified(&RecoveryPolicy {
+        variant: SimplexVariant::Dense,
+        budget,
+        ..Default::default()
+    }) {
+        Ok(certified) => {
+            assert_eq!(certified.status(), Status::Optimal);
+            let other = certified.solution().objective().expect("optimal objective");
+            assert!(
+                Tol::TIGHT.is_zero(other - tc, tc),
+                "dense Tc {other} vs sparse {tc}"
+            );
         }
+        Err(LpError::Budget { timed_out, .. }) => {
+            assert!(timed_out, "dense exhausted iterations, not time");
+        }
+        Err(e) => panic!("dense: unexpected failure: {e}"),
     }
 }

@@ -1,16 +1,20 @@
 //! Pathological-circuit stress harness: every circuit in the
 //! [`smo::gen::stress`] suite must solve without panicking under **both**
-//! simplex variants, the two variants must agree on the optimal cycle
-//! time, and every verdict must carry a valid independent optimality
-//! certificate.
+//! simplex variants (dense tableau and sparse LU), the two variants must
+//! agree on the optimal cycle time, and every verdict must carry a valid
+//! independent optimality certificate.
 
 use smo::gen::stress;
 use smo::lp::SimplexVariant;
 use smo::prelude::*;
-use smo::timing::{min_cycle_time_with, MlpOptions};
+use smo::timing::{min_cycle_time_with, Backend, MlpOptions};
 
+/// Certified simplex solve. The backend is named explicitly: the default
+/// answers these pure models on the graph, and the subject here is the
+/// simplex and its KKT certificates.
 fn certified_tc(circuit: &Circuit, variant: SimplexVariant) -> (f64, usize) {
     let options = MlpOptions {
+        backend: Backend::Lp,
         simplex: variant,
         certify: true,
         ..Default::default()
@@ -29,13 +33,13 @@ fn stress_suite_certifies_under_both_variants() {
     for seed in 0..4u64 {
         for (name, circuit) in stress::suite(seed) {
             let (dense, n_dense) = certified_tc(&circuit, SimplexVariant::Dense);
-            let (revised, n_revised) = certified_tc(&circuit, SimplexVariant::Revised);
+            let (sparse, n_sparse) = certified_tc(&circuit, SimplexVariant::SparseLu);
             assert!(
-                (dense - revised).abs() <= 1e-6 * (1.0 + dense.abs()),
-                "{name} (seed {seed}): dense Tc = {dense}, revised Tc = {revised}"
+                (dense - sparse).abs() <= 1e-6 * (1.0 + dense.abs()),
+                "{name} (seed {seed}): dense Tc = {dense}, sparse Tc = {sparse}"
             );
             assert!(
-                n_dense >= 1 && n_revised >= 1,
+                n_dense >= 1 && n_sparse >= 1,
                 "{name}: missing certificates"
             );
             assert!(
@@ -51,10 +55,10 @@ fn badly_scaled_certifies_across_fifteen_orders_of_magnitude() {
     for seed in 0..6u64 {
         let circuit = stress::badly_scaled(15, 3, seed);
         let (dense, _) = certified_tc(&circuit, SimplexVariant::Dense);
-        let (revised, _) = certified_tc(&circuit, SimplexVariant::Revised);
+        let (sparse, _) = certified_tc(&circuit, SimplexVariant::SparseLu);
         assert!(
-            (dense - revised).abs() <= 1e-6 * (1.0 + dense.abs()),
-            "seed {seed}: dense {dense} vs revised {revised}"
+            (dense - sparse).abs() <= 1e-6 * (1.0 + dense.abs()),
+            "seed {seed}: dense {dense} vs sparse {sparse}"
         );
     }
 }
@@ -78,10 +82,10 @@ fn degenerate_ties_certify_despite_alternative_optima() {
     for (l, k) in [(6usize, 2usize), (9, 3), (12, 4)] {
         let circuit = stress::degenerate_ties(l, k);
         let (dense, _) = certified_tc(&circuit, SimplexVariant::Dense);
-        let (revised, _) = certified_tc(&circuit, SimplexVariant::Revised);
+        let (sparse, _) = certified_tc(&circuit, SimplexVariant::SparseLu);
         assert!(
-            (dense - revised).abs() <= 1e-6 * (1.0 + dense.abs()),
-            "ties {l}x{k}: dense {dense} vs revised {revised}"
+            (dense - sparse).abs() <= 1e-6 * (1.0 + dense.abs()),
+            "ties {l}x{k}: dense {dense} vs sparse {sparse}"
         );
     }
 }
@@ -92,7 +96,11 @@ fn example1_headline_number_certifies() {
     // certified path must reproduce it exactly (not just "roughly"),
     // proving certification does not perturb the solve.
     let circuit = smo::gen::paper::example1(80.0);
-    let solution = min_cycle_time_with(&circuit, &MlpOptions::default()).expect("solves");
+    let options = MlpOptions {
+        backend: Backend::Lp,
+        ..Default::default()
+    };
+    let solution = min_cycle_time_with(&circuit, &options).expect("solves");
     assert!((solution.cycle_time() - 110.0).abs() < 1e-6);
     assert!(solution.certified());
     assert!(!solution.certificates().is_empty());

@@ -32,7 +32,7 @@ fn perturb(model: &TimingModel, circuit: &smo::circuit::Circuit, delays: &[f64])
 fn assert_warm_matches_cold(m: &TimingModel, basis: &smo::lp::Basis) -> f64 {
     let cold = m.solve_lp().expect("perturbed model stays feasible");
     let tc = cold.objective();
-    for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
+    for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
         let warm = m.solve_lp_from_basis(variant, basis).expect("warm solves");
         let w = warm.objective();
         assert!(
@@ -41,7 +41,7 @@ fn assert_warm_matches_cold(m: &TimingModel, basis: &smo::lp::Basis) -> f64 {
         );
     }
     let policy = RecoveryPolicy {
-        variant: SimplexVariant::Revised,
+        variant: SimplexVariant::SparseLu,
         ..Default::default()
     };
     let (opt, cert) = m
@@ -93,7 +93,7 @@ fn repair_never_returns_an_uncertified_optimum() {
             ..Default::default()
         };
         let capped = TimingModel::build_with(&circuit, &tight).expect("model builds");
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
+        for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
             let warm = capped
                 .problem()
                 .solve_from_basis_with(variant, &basis)
