@@ -35,14 +35,14 @@ echo "==> scale-differential suite (dense vs sparse-LU, release)"
 # so a solver regression fails fast instead of hanging CI.
 cargo test -q --release --test scale_differential -- --include-ignored
 
-echo "==> warm-start differential + sweep determinism suite"
+echo "==> LP warm-start differential (crossover path) + sweep determinism suite"
 cargo test -q --test warm_start
 
 echo "==> pricing-equivalence suite (devex vs partial vs bland, release)"
 # Every pricing rule must produce the same certified verdict and optimum
 # on the shipped netlists, the stress suite, and proptest-random
-# circuits — the contract that makes `--pricing` a pure performance
-# knob. Release mode keeps the sparse stress solves fast.
+# circuits — the contract that lets the sparse variant run partial
+# devex alone. Release mode keeps the sparse stress solves fast.
 cargo test -q --release --test pricing_equivalence
 
 echo "==> smo lint + smo analyze + certified smo solve over circuits/*.ckt"
@@ -75,9 +75,9 @@ for ckt in circuits/*.ckt; do
     echo "BACKEND DISAGREEMENT on $ckt: graph '$graph_tc' vs lp '$lp_tc'" >&2
     exit 1
   fi
-  # Short certified Monte-Carlo sweep: exercises the warm-start repair and
-  # the worker pool end to end on every shipped netlist (~2 s total).
-  ./target/release/smo sweep "$ckt" --runs 4 --jobs 2 --certify > /dev/null
+  # Short Monte-Carlo sweep: every run is a certified default-pipeline
+  # solve; exercises the worker pool end to end on every shipped netlist.
+  ./target/release/smo sweep "$ckt" --runs 4 --jobs 2 > /dev/null
 done
 
 echo "==> smo check over circuits/*.ckt (race gate)"
@@ -193,17 +193,25 @@ cargo run -q --release -p smo-bench --bin bench_sweep
 echo "==> bench_fastpath (regenerates BENCH_fastpath.json, enforces graph >= 10x lp)"
 cargo run -q --release -p smo-bench --bin bench_fastpath
 
-echo "==> 5k-row generated circuit: certified sparse-LU solve under a deadline + smo analyze"
+echo "==> 5k-row generated circuit: certified sparse-LU solve under a deadline + smo analyze + sweep base"
 # End-to-end through the CLI: `smo gen` emits a 5k-constraint-row
 # pipelined datapath, and the sparse-LU variant must return a certified
 # optimum inside an explicit wall-clock budget. `smo analyze` must then
 # finish on the same design with every cross-check agreeing (its LP legs
-# run on sparse LU; exit 2 on any disagreement).
+# run on sparse LU; exit 2 on any disagreement). The sweep's unperturbed
+# base solve must print exactly the Tc `smo solve` prints.
 gen_ckt=$(mktemp --suffix=.ckt)
 ./target/release/smo gen --latches 1667 --seed 7 --out "$gen_ckt"
 ./target/release/smo solve "$gen_ckt" --backend lp --variant sparse --time-limit 300 \
   | grep "certified: true" > /dev/null
 ./target/release/smo analyze "$gen_ckt" > /dev/null
+solve_tc=$(./target/release/smo solve "$gen_ckt" | sed -n 's/^optimal cycle time: //p')
+sweep_tc=$(./target/release/smo sweep "$gen_ckt" --runs 4 --jobs 2 \
+  | sed -n 's/^base: Tc = \([^ ]*\) .*/\1/p')
+if [ -z "$solve_tc" ] || [ "$solve_tc" != "$sweep_tc" ]; then
+  echo "SWEEP BASE DISAGREEMENT: solve '$solve_tc' vs sweep base '$sweep_tc'" >&2
+  exit 1
+fi
 rm -f "$gen_ckt"
 
 echo "==> bench_scale (dense vs sparse-LU scaling gate)"

@@ -191,7 +191,7 @@ impl Engine {
         }
         let degradation = Degradation::from_load(&load);
 
-        // The netlist fingerprint keys quarantine and all three caches.
+        // The netlist fingerprint keys quarantine and both caches.
         let netlist = request.command.netlist().unwrap_or("");
         let fp = fingerprint(netlist.as_bytes());
         if self.lock_cache().is_quarantined(fp) {
@@ -296,17 +296,13 @@ impl Engine {
         match &request.command {
             Command::Ping => self.ok_reply(id, Degradation::Full, "{\"ok\":true}", false),
             Command::Stats => {
-                let (circuits, results, bases, quarantined) = {
-                    let cache = self.lock_cache();
-                    cache.sizes()
-                };
+                let (circuits, results, quarantined) = self.lock_cache().sizes();
                 let stats = self.lock_cache().stats();
                 let payload = format!(
                     "{{\"requests\":{},\"ok\":{},\"errors\":{},\"panics\":{},\"sheds\":{},\
                      \"active\":{},\"queued\":{},\"max_active\":{},\"max_queue\":{},\
-                     \"cache\":{{\"circuits\":{circuits},\"results\":{results},\"bases\":{bases},\
-                     \"quarantined\":{quarantined},\"result_hits\":{},\"circuit_hits\":{},\
-                     \"basis_hits\":{}}}}}",
+                     \"cache\":{{\"circuits\":{circuits},\"results\":{results},\
+                     \"quarantined\":{quarantined},\"result_hits\":{},\"circuit_hits\":{}}}}}",
                     self.counters.requests.load(Ordering::Relaxed),
                     self.counters.ok.load(Ordering::Relaxed),
                     self.counters.errors.load(Ordering::Relaxed),
@@ -318,7 +314,6 @@ impl Engine {
                     load.max_queue,
                     stats.result_hits,
                     stats.circuit_hits,
-                    stats.basis_hits,
                 );
                 self.ok_reply(id, Degradation::Full, &payload, false)
             }
@@ -377,25 +372,16 @@ impl Engine {
         };
         match command {
             Command::Solve {
-                backend,
-                certify,
-                pricing,
-                ..
+                backend, certify, ..
             } => {
                 let mut options = MlpOptions {
                     backend: *backend,
                     certify: *certify,
                     time_limit,
-                    pricing: *pricing,
                     ..Default::default()
                 };
                 degradation.shape(&mut options);
-                let warm = self.lock_cache().basis(fp);
-                let (json, basis) = ops::run_solve(&circuit, &options, warm.as_ref())?;
-                if let Some(b) = basis {
-                    self.lock_cache().store_basis(fp, b);
-                }
-                Ok(json)
+                ops::run_solve(&circuit, &options)
             }
             Command::Verify {
                 cycle_time,
@@ -423,15 +409,10 @@ impl Engine {
                 max_delay,
                 spread,
                 seed,
-                certify,
-                pricing,
                 ..
-            } => {
-                let certify = *certify && degradation < Degradation::Uncertified;
-                ops::run_sweep(
-                    &circuit, param, *runs, *edge, *max_delay, *spread, *seed, certify, *pricing,
-                )
-            }
+            } => ops::run_sweep(
+                &circuit, param, *runs, *edge, *max_delay, *spread, *seed, &budget,
+            ),
             _ => Err(ApiError::new(
                 ErrorKind::Internal,
                 "control command reached the work dispatcher",
@@ -504,11 +485,8 @@ fn envelope(
 fn command_signature(request: &Request) -> String {
     match &request.command {
         Command::Solve {
-            backend,
-            certify,
-            pricing,
-            ..
-        } => format!("solve:{backend:?}:{certify}:{pricing}"),
+            backend, certify, ..
+        } => format!("solve:{backend:?}:{certify}"),
         Command::Verify {
             cycle_time,
             phases,
@@ -534,12 +512,8 @@ fn command_signature(request: &Request) -> String {
             max_delay,
             spread,
             seed,
-            certify,
-            pricing,
             ..
-        } => format!(
-            "sweep:{param}:{runs}:{edge}:{max_delay:?}:{spread:.12e}:{seed}:{certify}:{pricing}"
-        ),
+        } => format!("sweep:{param}:{runs}:{edge}:{max_delay:?}:{spread:.12e}:{seed}"),
         Command::Ping | Command::Stats | Command::Shutdown | Command::DebugPanic => {
             request.command.name().to_string()
         }

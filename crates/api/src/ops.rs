@@ -9,10 +9,10 @@
 use crate::error::ApiError;
 use smo_circuit::{netlist, Circuit, CircuitError, ClockSchedule, EdgeId};
 use smo_core::{
-    graph_feasible_at_within, min_cycle_time_warm, sweep_cycle_time, verify, Backend, MlpOptions,
-    SweepOptions, SweepParam, SweepReport, TimingSolution,
+    graph_feasible_at_within, min_cycle_time_with, sweep_cycle_time_within, verify, Backend,
+    MlpOptions, SweepOptions, SweepParam, SweepReport, TimingSolution,
 };
-use smo_lp::{Basis, SolveBudget};
+use smo_lp::SolveBudget;
 
 pub use smo_circuit::netlist::ParseLimits;
 
@@ -107,7 +107,7 @@ pub fn sweep_json(report: &SweepReport, options: &SweepOptions) -> String {
     }
     out.push_str(&format!(
         "  \"certified\": {},\n  \"base_cycle_time\": {:.6},\n  \"base_iterations\": {},\n",
-        options.certify, report.base_cycle_time, report.base_iterations
+        report.certified, report.base_cycle_time, report.base_iterations
     ));
     out.push_str(&format!(
         "  \"min_cycle_time\": {:.6},\n  \"max_cycle_time\": {:.6},\n  \"mean_cycle_time\": {:.6},\n  \"warm_iterations\": {},\n",
@@ -134,16 +134,9 @@ pub fn sweep_json(report: &SweepReport, options: &SweepOptions) -> String {
     out
 }
 
-/// Solves for the minimum cycle time, optionally warm-starting from a
-/// cached basis, and returns the pretty JSON plus the basis to cache for
-/// the next same-topology request.
-pub fn run_solve(
-    circuit: &Circuit,
-    options: &MlpOptions,
-    warm: Option<&Basis>,
-) -> Result<(String, Option<Basis>), ApiError> {
-    let (sol, basis) = min_cycle_time_warm(circuit, options, warm)?;
-    Ok((solve_json(&sol), basis))
+/// Solves for the minimum cycle time and returns the pretty JSON.
+pub fn run_solve(circuit: &Circuit, options: &MlpOptions) -> Result<String, ApiError> {
+    Ok(solve_json(&min_cycle_time_with(circuit, options)?))
 }
 
 /// Checks a concrete schedule row by row and (except on the pure-LP
@@ -213,9 +206,10 @@ pub fn run_diagnose(circuit: &Circuit, cycle_time: Option<f64>) -> Result<String
     Ok(d.to_json())
 }
 
-/// Warm-started parameter sweep. The daemon always runs sweeps
-/// single-threaded (`jobs = 1`): concurrency belongs to the connection
-/// layer, and the report bytes are identical for any jobs value anyway.
+/// Parameter sweep under `budget` (one deadline for every solve). The
+/// daemon always runs sweeps single-threaded (`jobs = 1`): concurrency
+/// belongs to the connection layer, and the report bytes are identical
+/// for any jobs value anyway.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sweep(
     circuit: &Circuit,
@@ -225,8 +219,7 @@ pub fn run_sweep(
     max_delay: Option<f64>,
     spread: f64,
     seed: u64,
-    certify: bool,
-    pricing: smo_lp::Pricing,
+    budget: &SolveBudget,
 ) -> Result<String, ApiError> {
     let param = match param {
         "tc" => {
@@ -249,11 +242,8 @@ pub fn run_sweep(
         runs,
         seed,
         jobs: 1,
-        certify,
-        pricing,
-        ..Default::default()
     };
-    let reports = sweep_cycle_time(std::slice::from_ref(circuit), &options)?;
+    let reports = sweep_cycle_time_within(std::slice::from_ref(circuit), &options, budget)?;
     Ok(sweep_json(&reports[0], &options))
 }
 
@@ -274,10 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn run_solve_matches_plain_solve_and_returns_a_basis() {
+    fn run_solve_matches_plain_solve() {
         let circuit = paper::example2();
         let options = MlpOptions::default();
-        let (json, _basis) = run_solve(&circuit, &options, None).unwrap();
+        let json = run_solve(&circuit, &options).unwrap();
         let direct = smo_core::min_cycle_time_with(&circuit, &options).unwrap();
         assert_eq!(json, solve_json(&direct));
     }
@@ -320,8 +310,7 @@ mod tests {
             None,
             0.1,
             0,
-            false,
-            Default::default(),
+            &SolveBudget::UNLIMITED,
         )
         .unwrap_err();
         assert_eq!(e.kind, crate::error::ErrorKind::BadRequest);
@@ -333,8 +322,7 @@ mod tests {
             None,
             0.05,
             7,
-            false,
-            Default::default(),
+            &SolveBudget::UNLIMITED,
         )
         .unwrap();
         assert!(json.contains("\"param\": \"delay\""));

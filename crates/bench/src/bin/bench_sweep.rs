@@ -5,7 +5,9 @@
 //! Writes `BENCH_sweep.json` at the repository root (checked in as the
 //! reference measurement; regenerated by `ci.sh`). The run aborts if the
 //! warm path fails to deliver at least a 2× solves/sec advantage over the
-//! cold path — the sweep engine's whole reason to exist.
+//! cold path — the LP warm start the mixed-model crossover relies on. The
+//! sweep leg times the default pipeline (`sweep_cycle_time`), which on
+//! this pure difference model solves every run on the graph.
 
 use std::time::Instant;
 
@@ -13,7 +15,7 @@ use smo_core::{sweep_cycle_time, SweepOptions, SweepParam, TimingModel};
 use smo_gen::random::{perturbed_delays, random_circuit, GenConfig};
 use smo_lp::SimplexVariant;
 
-/// The simplex every leg runs: the sweep engine's default variant.
+/// The simplex the cold/warm legs run.
 const VARIANT: SimplexVariant = SimplexVariant::SparseLu;
 /// Delay jitter for the perturbed re-solves.
 const SPREAD: f64 = 0.05;
@@ -132,9 +134,6 @@ fn main() {
             runs: SWEEP_RUNS,
             seed: 0,
             jobs,
-            variant: VARIANT,
-            certify: false,
-            ..SweepOptions::default()
         };
         let t = Instant::now();
         let reports =
@@ -142,7 +141,7 @@ fn main() {
         let secs = t.elapsed().as_secs_f64();
         let rate = SWEEP_RUNS as f64 / secs;
         println!(
-            "sweep --jobs {jobs}: {SWEEP_RUNS} runs in {:.3} s ({rate:.2} solves/sec, {} repair pivots)",
+            "sweep --jobs {jobs}: {SWEEP_RUNS} runs in {:.3} s ({rate:.2} solves/sec, {} simplex pivots)",
             secs, reports[0].warm_iterations
         );
         thread_rates.push((jobs, rate));
@@ -154,9 +153,10 @@ fn main() {
     let json = format!(
         "{{\n  \"_schema\": \"cold/warm: {RUNS} RHS-perturbed re-solves of one ~650-row model \
          (sparse-LU simplex); iterations_per_solve is mean simplex pivots; solves_per_sec is \
-         wall-clock throughput; sweep_solves_per_sec measures sweep_cycle_time() end to end \
-         at N worker threads ({SWEEP_RUNS} runs incl. base solve; interpret against \
-         available_cores); gate (single source of truth, mirrored by BENCH_scale.json): \
+         wall-clock throughput; sweep_solves_per_sec measures the default pipeline \
+         (sweep_cycle_time(), every run a certified min_cycle_time_with solve, graph path on \
+         this pure model) end to end at N worker threads ({SWEEP_RUNS} runs incl. base \
+         solve; interpret against available_cores); gate (single source of truth, mirrored by BENCH_scale.json): \
          speedup = warm/cold solves_per_sec and must stay >= {MIN_SPEEDUP}\",\n  \
          \"rows\": {rows},\n  \"runs\": {RUNS},\n  \"sweep_runs\": {SWEEP_RUNS},\n  \
          \"spread\": {SPREAD},\n  \"available_cores\": {cores},\n  \

@@ -1,6 +1,7 @@
 //! The immutable, validated circuit.
 
 use crate::clock::ClockSpec;
+use crate::error::CircuitError;
 use crate::graph::{self, Cycle, Edge, EdgeId};
 use crate::ids::{LatchId, PhaseId};
 use crate::matrix::BoolMatrix;
@@ -114,6 +115,35 @@ impl Circuit {
     /// All combinational edges.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
+    }
+
+    /// This circuit with every edge's long-path delay replaced by
+    /// `delays[e]` (edge order). A short-path delay above its new
+    /// long-path delay is lowered to it, keeping `min ≤ max`.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::InvalidEdgeDelay`] for a negative or non-finite
+    /// delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delays.len() != self.num_edges()`.
+    pub fn with_max_delays(&self, delays: &[f64]) -> Result<Circuit, CircuitError> {
+        assert_eq!(delays.len(), self.edges.len(), "one delay per edge");
+        let mut out = self.clone();
+        for (e, &d) in out.edges.iter_mut().zip(delays) {
+            if !d.is_finite() || d < 0.0 {
+                return Err(CircuitError::InvalidEdgeDelay {
+                    from: self.syncs[e.from.index()].name.clone(),
+                    to: self.syncs[e.to.index()].name.clone(),
+                    reason: format!("max delay {d} must be finite and non-negative"),
+                });
+            }
+            e.max_delay = d;
+            e.min_delay = e.min_delay.min(d);
+        }
+        Ok(out)
     }
 
     /// Ids of the edges arriving at `id`'s data input.
@@ -360,6 +390,25 @@ mod tests {
         let c = b.build().unwrap();
         assert!(!c.has_feedback());
         assert!(c.cycles(10).is_empty());
+    }
+
+    #[test]
+    fn with_max_delays_replaces_long_paths_only() {
+        let mut b = CircuitBuilder::new(2);
+        let a = b.add_latch("A", p(1), 1.0, 1.0);
+        let c2 = b.add_latch("B", p(2), 1.0, 1.0);
+        b.connect_min_max(a, c2, 4.0, 5.0);
+        b.connect(c2, a, 2.0);
+        let c = b.build().unwrap();
+        let d = c.with_max_delays(&[3.0, 7.0]).unwrap();
+        assert_eq!(d.edges()[0].max_delay, 3.0);
+        assert_eq!(d.edges()[0].min_delay, 3.0); // lowered to keep min ≤ max
+        assert_eq!(d.edges()[1].max_delay, 7.0);
+        assert_eq!(d.fanin(a), c.fanin(a));
+        assert!(matches!(
+            c.with_max_delays(&[-1.0, 2.0]),
+            Err(CircuitError::InvalidEdgeDelay { .. })
+        ));
     }
 
     #[test]

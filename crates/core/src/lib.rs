@@ -28,8 +28,8 @@
 //!   C1–C3 / L1 / L2R constraints in conflict.
 //! * **Timing diagrams** ([`render_schedule`], [`render_solution`]) — ASCII
 //!   renderings in the style of Figs. 6 and 11.
-//! * **Parallel sweeps** ([`sweep_cycle_time`]) — warm-started batch
-//!   re-solves: parametric clock sweeps and Monte-Carlo delay
+//! * **Parallel sweeps** ([`sweep_cycle_time`]) — batches of default
+//!   pipeline solves: parametric clock sweeps and Monte-Carlo delay
 //!   perturbations fanned over a work-claiming thread pool, deterministic
 //!   for any thread count.
 //! * **Difference-constraint fast path** ([`Backend`], [`classify_model`])
@@ -111,8 +111,8 @@ pub use fastpath::{
     GraphCertificate,
 };
 pub use mlp::{
-    min_cycle_time, min_cycle_time_warm, min_cycle_time_with, solve_model, solve_model_canonical,
-    solve_model_canonical_with, solve_model_with, MlpOptions, UpdateMode,
+    min_cycle_time, min_cycle_time_with, solve_model, solve_model_canonical, solve_model_with,
+    MlpOptions, UpdateMode,
 };
 pub use model::{
     shift_expr, ConstraintInfo, ConstraintKind, ConstraintOptions, DeparturePinning,
@@ -123,7 +123,9 @@ pub use race::{race_analysis, race_analysis_at, RaceOptions, RaceReport, ShortPa
 pub use report::{render_report, timing_report};
 pub use sensitivity::{cycle_time_curve, delay_sensitivities};
 pub use solution::TimingSolution;
-pub use sweep::{sweep_cycle_time, SweepOptions, SweepParam, SweepReport, SweepRun};
+pub use sweep::{
+    sweep_cycle_time, sweep_cycle_time_within, SweepOptions, SweepParam, SweepReport, SweepRun,
+};
 
 // Re-export the schedule type: it is the natural currency between the
 // circuit model and the timing engine.

@@ -67,12 +67,6 @@ pub struct MlpOptions {
     /// Which solver backs the cycle-time computation (see [`Backend`];
     /// defaults to [`Backend::default`]).
     pub backend: Backend,
-    /// Simplex pricing strategy, honored by the sparse-LU variant on
-    /// every LP this solve runs (certified rungs included); the dense
-    /// variant ignores it. All strategies give identical verdicts
-    /// and objectives — this only trades pivot-selection cost against
-    /// pivot count.
-    pub pricing: smo_lp::Pricing,
 }
 
 impl Default for MlpOptions {
@@ -85,7 +79,6 @@ impl Default for MlpOptions {
             certify: true,
             time_limit: None,
             backend: Backend::default(),
-            pricing: smo_lp::Pricing::default(),
         }
     }
 }
@@ -107,7 +100,7 @@ impl MlpOptions {
         self.certify.then_some(smo_lp::RecoveryPolicy {
             variant: self.simplex,
             budget,
-            pricing: self.pricing,
+            ..smo_lp::RecoveryPolicy::default()
         })
     }
 }
@@ -156,51 +149,23 @@ pub fn min_cycle_time_with(
     circuit: &Circuit,
     options: &MlpOptions,
 ) -> Result<TimingSolution, TimingError> {
-    run_mlp(circuit, options, None, None)
+    run_mlp(circuit, options, &options.budget())
 }
 
-/// [`min_cycle_time_with`] for resident callers (the `smo serve` daemon,
-/// sweep-style batches): optionally seeds the first LP from a cached basis
-/// snapshot and hands back the snapshot of this solve's cycle-time LP for
-/// the caller's cache.
-///
-/// The returned basis fits any model sharing this one's
-/// [`matrix_fingerprint`](smo_lp::Problem::matrix_fingerprint) — delay
-/// edits change only right-hand sides, so perturbed copies of the same
-/// topology warm-start from it. `None` when no LP ran (pure models solved
-/// outright by the graph fast path) or the solver produced no snapshot. A
-/// stale or ill-fitting `warm` falls back to a cold solve silently;
-/// verdicts never depend on the warm start.
-///
-/// # Errors
-///
-/// See [`min_cycle_time`].
-pub fn min_cycle_time_warm(
+/// [`min_cycle_time_with`] under a caller-fixed `budget` in place of
+/// `options.time_limit`, so a batch of solves (a sweep) can share one
+/// absolute deadline.
+pub(crate) fn run_mlp(
     circuit: &Circuit,
     options: &MlpOptions,
-    warm: Option<&smo_lp::Basis>,
-) -> Result<(TimingSolution, Option<smo_lp::Basis>), TimingError> {
-    let mut captured = None;
-    let solution = run_mlp(circuit, options, warm, Some(&mut captured))?;
-    Ok((solution, captured))
-}
-
-/// Shared driver behind [`min_cycle_time_with`] / [`min_cycle_time_warm`]:
-/// one budget for every stage, optional warm seed, optional basis capture.
-fn run_mlp(
-    circuit: &Circuit,
-    options: &MlpOptions,
-    warm_in: Option<&smo_lp::Basis>,
-    captured: Option<&mut Option<smo_lp::Basis>>,
+    budget: &smo_lp::SolveBudget,
 ) -> Result<TimingSolution, TimingError> {
     let model = TimingModel::build_with(circuit, &options.constraints)?;
-    let budget = options.budget();
+    let budget = *budget;
     let policy = options.policy(budget);
     // Difference-constraint fast path: exact graph solve on pure models,
-    // crossover warm start on mixed ones (see [`crate::fastpath`]). A
-    // caller-cached optimal basis beats the crossover guess when both are
-    // on offer.
-    let mut warm: Option<smo_lp::Basis> = warm_in.cloned();
+    // crossover warm start on mixed ones (see [`crate::fastpath`]).
+    let mut warm: Option<smo_lp::Basis> = None;
     if options.backend != Backend::Lp {
         match fastpath::attempt(circuit, &model, options.update, &budget) {
             Ok(FastPathOutcome::Solved(solution)) => return Ok(*solution),
@@ -213,9 +178,7 @@ fn run_mlp(
                             .into(),
                     });
                 }
-                if warm.is_none() {
-                    warm = basis;
-                }
+                warm = basis;
             }
             Err(e @ TimingError::Infeasible { .. }) => return Err(e),
             Err(e @ TimingError::Lp(smo_lp::LpError::Budget { .. })) => {
@@ -241,8 +204,6 @@ fn run_mlp(
             policy.as_ref(),
             warm.as_ref(),
             budget,
-            options.pricing,
-            captured,
         )
     } else {
         model_inner(
@@ -253,8 +214,6 @@ fn run_mlp(
             policy.as_ref(),
             warm.as_ref(),
             budget,
-            options.pricing,
-            captured,
         )
     }
 }
@@ -272,39 +231,20 @@ pub fn solve_model_canonical(
     model: &TimingModel,
     update: UpdateMode,
 ) -> Result<TimingSolution, TimingError> {
-    solve_model_canonical_with(circuit, model, update, smo_lp::SimplexVariant::Dense)
-}
-
-/// [`solve_model_canonical`] with an explicit simplex implementation.
-///
-/// # Errors
-///
-/// See [`min_cycle_time`].
-pub fn solve_model_canonical_with(
-    circuit: &Circuit,
-    model: &TimingModel,
-    update: UpdateMode,
-    variant: smo_lp::SimplexVariant,
-) -> Result<TimingSolution, TimingError> {
     canonical_inner(
         circuit,
         model,
         update,
-        variant,
+        smo_lp::SimplexVariant::Dense,
         None,
         None,
         smo_lp::SolveBudget::UNLIMITED,
-        smo_lp::Pricing::default(),
-        None,
     )
 }
 
 /// Canonicalizing pipeline shared by the certified and plain paths. A warm
 /// basis (from the fast path's crossover) only seeds the *first* solve —
 /// the refined model has an extra row, so the snapshot no longer fits it.
-/// For the same reason `captured` snapshots the *first* (cycle-time) solve:
-/// that is the basis a later solve of this model can be seeded with.
-#[allow(clippy::too_many_arguments)]
 fn canonical_inner(
     circuit: &Circuit,
     model: &TimingModel,
@@ -313,22 +253,14 @@ fn canonical_inner(
     policy: Option<&smo_lp::RecoveryPolicy>,
     warm: Option<&smo_lp::Basis>,
     budget: smo_lp::SolveBudget,
-    pricing: smo_lp::Pricing,
-    captured: Option<&mut Option<smo_lp::Basis>>,
 ) -> Result<TimingSolution, TimingError> {
     let (first, mut certificates) = match policy {
         Some(pol) => {
             let (sol, cert) = model.solve_lp_certified_from_basis(pol, warm)?;
             (sol, vec![cert])
         }
-        None => (
-            model.solve_lp_budgeted(variant, warm, budget, pricing)?,
-            Vec::new(),
-        ),
+        None => (model.solve_lp_budgeted(variant, warm, budget)?, Vec::new()),
     };
-    if let Some(slot) = captured {
-        *slot = first.basis().cloned();
-    }
     let tc_opt = first.objective();
 
     let mut refined = model.clone();
@@ -343,9 +275,7 @@ fn canonical_inner(
         }
         p.minimize(secondary);
     }
-    match model_inner(
-        circuit, &refined, update, variant, policy, None, budget, pricing, None,
-    ) {
+    match model_inner(circuit, &refined, update, variant, policy, None, budget) {
         Ok(mut solution) => {
             solution.num_constraints = model.num_constraints();
             solution.lp_iterations += first.iterations();
@@ -362,9 +292,9 @@ fn canonical_inner(
         // Farkas check rightly refuses to confirm a round-off
         // infeasibility), so that exhaustion gets the same fallback.
         Err(TimingError::Infeasible { .. })
-        | Err(TimingError::Lp(smo_lp::LpError::CertificationFailed { .. })) => model_inner(
-            circuit, model, update, variant, policy, warm, budget, pricing, None,
-        ),
+        | Err(TimingError::Lp(smo_lp::LpError::CertificationFailed { .. })) => {
+            model_inner(circuit, model, update, variant, policy, warm, budget)
+        }
         Err(e) => Err(e),
     }
 }
@@ -403,8 +333,6 @@ pub fn solve_model_with(
         None,
         None,
         smo_lp::SolveBudget::UNLIMITED,
-        smo_lp::Pricing::default(),
-        None,
     )
 }
 
@@ -440,9 +368,7 @@ pub(crate) fn slide_departures(
 }
 
 /// Steps 1–2 of Algorithm MLP, optionally on the certified LP path,
-/// optionally warm-started from a crossover basis, with the LP's basis
-/// snapshot handed back through `captured` for resident callers' caches.
-#[allow(clippy::too_many_arguments)]
+/// optionally warm-started from a crossover basis.
 fn model_inner(
     circuit: &Circuit,
     model: &TimingModel,
@@ -451,8 +377,6 @@ fn model_inner(
     policy: Option<&smo_lp::RecoveryPolicy>,
     warm: Option<&smo_lp::Basis>,
     budget: smo_lp::SolveBudget,
-    pricing: smo_lp::Pricing,
-    captured: Option<&mut Option<smo_lp::Basis>>,
 ) -> Result<TimingSolution, TimingError> {
     // Step 1: LP.
     let (lp, certificates) = match policy {
@@ -460,14 +384,8 @@ fn model_inner(
             let (sol, cert) = model.solve_lp_certified_from_basis(pol, warm)?;
             (sol, vec![cert])
         }
-        None => (
-            model.solve_lp_budgeted(variant, warm, budget, pricing)?,
-            Vec::new(),
-        ),
+        None => (model.solve_lp_budgeted(variant, warm, budget)?, Vec::new()),
     };
-    if let Some(slot) = captured {
-        *slot = lp.basis().cloned();
-    }
     let schedule = model.extract_schedule(&lp)?;
     let d0 = model.extract_departures(&lp);
 

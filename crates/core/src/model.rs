@@ -771,13 +771,12 @@ impl TimingModel {
         variant: smo_lp::SimplexVariant,
         warm: Option<&smo_lp::Basis>,
         budget: smo_lp::SolveBudget,
-        pricing: smo_lp::Pricing,
     ) -> Result<OptimalSolution, TimingError> {
         let sol = match warm {
             Some(b) => self
                 .problem
-                .solve_from_basis_with_options(variant, b, budget, pricing)?,
-            None => self.problem.solve_with_options(variant, budget, pricing)?,
+                .solve_from_basis_with_budget(variant, b, budget)?,
+            None => self.problem.solve_with_budget(variant, budget)?,
         };
         match sol.status() {
             smo_lp::Status::Optimal => Ok(sol.into_optimal()?),

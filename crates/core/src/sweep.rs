@@ -1,4 +1,4 @@
-//! Parallel parameter sweeps with warm-started re-solves.
+//! Parallel parameter sweeps on the default solve pipeline.
 //!
 //! §VI of the paper motivates "parametric programming techniques … to
 //! study the effects on the optimal cycle time of varying the circuit
@@ -6,49 +6,45 @@
 //! for *one* edge; this module scales the question up: many runs, many
 //! circuits, many threads.
 //!
-//! [`sweep_cycle_time`] fans a batch of re-solves over a work-claiming
+//! [`sweep_cycle_time`] fans a batch of solves over a work-claiming
 //! thread pool:
 //!
 //! * **Clock sweeps** ([`SweepParam::Tc`]) — a grid sweep of one edge's
-//!   delay over `[0, max]`, each grid point re-solved from the base
-//!   optimum's basis, cross-checkable against the exact piecewise-linear
-//!   curve ([`cycle_time_curve`](crate::cycle_time_curve)) whose
-//!   breakpoints ride along in the report.
+//!   delay over `[0, max]`, cross-checkable against the exact
+//!   piecewise-linear curve ([`cycle_time_curve`](crate::cycle_time_curve))
+//!   whose breakpoints ride along in the report.
 //! * **Monte-Carlo delay perturbation** ([`SweepParam::Delay`]) — every
 //!   edge delay jittered uniformly by ±`spread`
-//!   ([`smo_gen::random::perturbed_delays`]), one re-solve per sample.
+//!   ([`smo_gen::random::perturbed_delays`]), one solve per sample.
 //! * **Many-circuit batches** — pass several circuits; work items are
 //!   interleaved across the pool and reduced back per circuit.
 //!
-//! ## Why warm starts pay here
-//!
-//! Delay edits touch only constraint right-hand sides
-//! ([`TimingModel::set_edge_delay`]), never the matrix. A basis that was
-//! optimal for the base delays therefore stays *dual feasible* after any
-//! perturbation, and each re-solve is a short dual-simplex repair instead
-//! of a from-scratch phase 1. The default sparse-LU variant refactorizes
-//! the snapshot basis in `O(nnz)` per re-solve, so no factor needs to be
-//! cached between runs.
+//! Every run is the solve `smo solve` performs: the circuit with that
+//! run's delays ([`Circuit::with_max_delays`]) through
+//! [`min_cycle_time_with`](crate::min_cycle_time_with) with default
+//! options — the certified graph path on pure difference models, the
+//! certified simplex otherwise. A sweep therefore reports exactly the
+//! optima a user would get by solving each perturbed netlist.
 //!
 //! ## Determinism contract
 //!
 //! Results are identical for any `jobs` value: run `i` of a circuit is
-//! seeded with `seed + i` (the `smo-sim` Monte-Carlo convention), every
-//! run warm-starts from the same deterministic base basis, and the
-//! reduction is ordered by `(circuit, run)` index — worker scheduling
-//! affects wall-clock only. `smo sweep --json` is byte-identical across
-//! `--jobs 1/2/8` because of this contract; `tests/warm_start.rs` locks
-//! it down.
+//! seeded with `seed + i` (the `smo-sim` Monte-Carlo convention), each run
+//! is an independent deterministic solve, and the reduction is ordered by
+//! `(circuit, run)` index — worker scheduling affects wall-clock only.
+//! `smo sweep --json` is byte-identical across `--jobs 1/2/8` because of
+//! this contract; `tests/warm_start.rs` locks it down.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::TimingError;
+use crate::mlp::{run_mlp, MlpOptions};
 use crate::model::TimingModel;
 use crate::sensitivity::cycle_time_curve;
+use crate::solution::TimingSolution;
 use smo_circuit::{Circuit, EdgeId};
 use smo_gen::random::perturbed_delays;
-use smo_lp::{Basis, ConstraintId, RecoveryPolicy, SimplexVariant};
+use smo_lp::SolveBudget;
 
 /// Which parameter a sweep varies.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +59,7 @@ pub enum SweepParam {
         /// Upper end of the sweep range.
         max_delay: f64,
     },
-    /// Monte-Carlo re-solves with every edge delay drawn uniformly from
+    /// Monte-Carlo solves with every edge delay drawn uniformly from
     /// `[Δ·(1−spread), Δ·(1+spread)]`; run `i` uses seed `seed + i`.
     Delay {
         /// Relative jitter half-width in `[0, 1]` (`0` = no perturbation).
@@ -76,7 +72,7 @@ pub enum SweepParam {
 pub struct SweepOptions {
     /// The swept parameter.
     pub param: SweepParam,
-    /// Re-solves per circuit.
+    /// Solves per circuit.
     pub runs: usize,
     /// Base RNG seed (delay mode; run `i` uses `seed + i`).
     pub seed: u64,
@@ -85,20 +81,6 @@ pub struct SweepOptions {
     /// the work-item count and to [`std::thread::available_parallelism`],
     /// so over-subscribing a small container no longer costs throughput.
     pub jobs: usize,
-    /// Simplex implementation for the base and warm solves. The sparse-LU
-    /// variant (default) refactorizes a warm basis in `O(nnz)`, which makes
-    /// its RHS-only re-solves the cheapest; the dense tableau is the
-    /// paper-faithful oracle.
-    pub variant: SimplexVariant,
-    /// Route every re-solve through the certified ladder
-    /// ([`TimingModel::solve_lp_certified_from_basis`]) instead of the
-    /// plain warm solve. Slower; every reported optimum is then
-    /// independently KKT-checked against raw problem data.
-    pub certify: bool,
-    /// Simplex pricing strategy for every solve in the sweep, honored by
-    /// the sparse-LU variant only (the dense variant ignores it).
-    /// Identical verdicts and optima under every strategy.
-    pub pricing: smo_lp::Pricing,
 }
 
 impl Default for SweepOptions {
@@ -108,14 +90,11 @@ impl Default for SweepOptions {
             runs: 16,
             seed: 0,
             jobs: 1,
-            variant: SimplexVariant::SparseLu,
-            certify: false,
-            pricing: smo_lp::Pricing::default(),
         }
     }
 }
 
-/// One re-solve of a sweep.
+/// One solve of a sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRun {
     /// Run index within the circuit's sweep (`0..runs`).
@@ -126,9 +105,9 @@ pub struct SweepRun {
     pub value: f64,
     /// Optimal cycle time `T_c*` at this parameter value.
     pub cycle_time: f64,
-    /// Simplex pivots this re-solve needed. After a successful warm
-    /// repair this counts only the repair pivots; compare with
-    /// [`SweepReport::base_iterations`] for the cold baseline.
+    /// Simplex pivots this solve needed
+    /// ([`TimingSolution::lp_iterations`]): `0` when the graph path
+    /// solved it outright, as it does on every pure difference model.
     pub iterations: usize,
 }
 
@@ -139,7 +118,7 @@ pub struct SweepReport {
     pub circuit: usize,
     /// Optimal cycle time of the unperturbed model.
     pub base_cycle_time: f64,
-    /// Pivots of the cold base solve (the per-run warm baseline).
+    /// Simplex pivots of the unperturbed solve (`0` on the graph path).
     pub base_iterations: usize,
     /// All runs, ordered by index.
     pub runs: Vec<SweepRun>,
@@ -152,29 +131,19 @@ pub struct SweepReport {
     pub max_cycle_time: f64,
     /// Mean cycle time over the runs (summed in index order).
     pub mean_cycle_time: f64,
-    /// Total pivots across all warm re-solves.
+    /// Total simplex pivots across all runs.
     pub warm_iterations: usize,
-}
-
-/// The base solve of one circuit, shared read-only with the workers.
-struct BaseSolve {
-    model: TimingModel,
-    /// Standard-form matrix fingerprint — the worker-side basis-cache key.
-    fingerprint: u64,
-    basis: Basis,
-    cycle_time: f64,
-    iterations: usize,
+    /// `true` when the base solve and every run were independently
+    /// certified ([`TimingSolution::certified`]).
+    pub certified: bool,
 }
 
 /// Sweeps the optimal cycle time of every circuit in `circuits` over the
 /// configured parameter, returning one [`SweepReport`] per circuit (input
 /// order).
 ///
-/// All `circuits.len() × runs` re-solves are interleaved over
+/// All `circuits.len() × runs` solves are interleaved over
 /// `options.jobs` threads that claim work from a shared atomic counter.
-/// Each worker keeps a private basis cache keyed by the circuit's
-/// standard-form matrix fingerprint, so structurally identical circuits
-/// share one warm-start basis per worker.
 ///
 /// # Errors
 ///
@@ -187,36 +156,29 @@ pub fn sweep_cycle_time(
     circuits: &[Circuit],
     options: &SweepOptions,
 ) -> Result<Vec<SweepReport>, TimingError> {
+    sweep_cycle_time_within(circuits, options, &SolveBudget::UNLIMITED)
+}
+
+/// [`sweep_cycle_time`] under a wall-clock / iteration budget: one
+/// absolute deadline shared by the base solves and every run, so a
+/// daemon request with a deadline cannot run unbounded however many runs
+/// it asks for.
+///
+/// # Errors
+///
+/// As [`sweep_cycle_time`], plus [`smo_lp::LpError::Budget`] (wrapped in
+/// [`TimingError::Lp`]) once the budget expires.
+pub fn sweep_cycle_time_within(
+    circuits: &[Circuit],
+    options: &SweepOptions,
+    budget: &SolveBudget,
+) -> Result<Vec<SweepReport>, TimingError> {
     validate(circuits, options)?;
     if circuits.is_empty() {
         return Ok(Vec::new());
     }
-
-    // Base solves: one deterministic cold solve per circuit, on this
-    // thread. Their bases seed the workers' caches; their iteration counts
-    // are the honest cold baseline each warm run is compared against.
-    let bases: Vec<BaseSolve> = circuits
-        .iter()
-        .map(|c| {
-            let model = TimingModel::build(c)?;
-            let fingerprint = model.problem().matrix_fingerprint()?;
-            let sol = model.solve_lp_with(options.variant)?;
-            let basis = sol.basis().cloned().ok_or_else(|| {
-                TimingError::Lp(smo_lp::LpError::Numerical {
-                    context: "optimal base solve returned no basis snapshot".into(),
-                })
-            })?;
-            let cycle_time = sol.value(model.vars().tc());
-            let iterations = sol.iterations();
-            Ok(BaseSolve {
-                model,
-                fingerprint,
-                basis,
-                cycle_time,
-                iterations,
-            })
-        })
-        .collect::<Result<_, TimingError>>()?;
+    let solve = |c: &Circuit| run_mlp(c, &MlpOptions::default(), budget);
+    let bases: Vec<TimingSolution> = circuits.iter().map(solve).collect::<Result<_, _>>()?;
 
     let total = circuits.len() * options.runs;
     // Threads beyond the physical core count only add scheduler churn:
@@ -230,16 +192,11 @@ pub fn sweep_cycle_time(
     let jobs = options.jobs.clamp(1, total).min(cores);
     let next = AtomicUsize::new(0);
 
-    let work = |_worker: usize| -> Result<Vec<(usize, SweepRun)>, (usize, TimingError)> {
+    // A worker's finished items, `(work index, run, certified)`, or the
+    // first error it hit with its work index.
+    type Claimed = Result<Vec<(usize, SweepRun, bool)>, (usize, TimingError)>;
+    let work = || -> Claimed {
         let mut out = Vec::new();
-        // The per-worker basis cache. Keyed by matrix fingerprint, so two
-        // structurally identical circuits in the batch share an entry.
-        let mut cache: HashMap<u64, Basis> = HashMap::new();
-        // The per-worker model cache: one clone of each circuit's base
-        // model, perturbed in place (RHS only) and restored after every
-        // run. Cloning per (worker, circuit) instead of per run removes
-        // the dominant allocation from the inner loop.
-        let mut models: HashMap<usize, TimingModel> = HashMap::new();
         loop {
             let w = next.fetch_add(1, Ordering::Relaxed);
             if w >= total {
@@ -247,56 +204,49 @@ pub fn sweep_cycle_time(
             }
             let c = w / options.runs;
             let i = w % options.runs;
-            let base = &bases[c];
-            let basis = cache
-                .entry(base.fingerprint)
-                .or_insert_with(|| base.basis.clone());
-            let model = models.entry(c).or_insert_with(|| base.model.clone());
-            match run_one(&circuits[c], model, basis, i, options) {
-                Ok(run) => out.push((w, run)),
+            let run = perturb(&circuits[c], i, options).and_then(|(circuit, value)| {
+                let sol = solve(&circuit)?;
+                let run = SweepRun {
+                    index: i,
+                    value,
+                    cycle_time: sol.cycle_time(),
+                    iterations: sol.lp_iterations(),
+                };
+                Ok((run, sol.certified()))
+            });
+            match run {
+                Ok((run, certified)) => out.push((w, run, certified)),
                 Err(e) => return Err((w, e)),
             }
         }
     };
 
-    let mut results: Vec<Option<SweepRun>> = (0..total).map(|_| None).collect();
-    let mut first_error: Option<(usize, TimingError)> = None;
-    if jobs == 1 {
-        match work(0) {
-            Ok(pairs) => {
-                for (w, run) in pairs {
-                    results[w] = Some(run);
-                }
-            }
-            Err(e) => first_error = Some(e),
-        }
+    let mut results: Vec<Option<(SweepRun, bool)>> = vec![None; total];
+    let outcomes: Vec<_> = if jobs == 1 {
+        vec![work()]
     } else {
-        let outcomes: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|t| {
-                    let work = &work;
-                    scope.spawn(move || work(t))
-                })
-                .collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(work)).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("sweep worker panicked"))
                 .collect()
-        });
-        for outcome in outcomes {
-            match outcome {
-                Ok(pairs) => {
-                    for (w, run) in pairs {
-                        results[w] = Some(run);
-                    }
+        })
+    };
+    let mut first_error: Option<(usize, TimingError)> = None;
+    for outcome in outcomes {
+        match outcome {
+            Ok(items) => {
+                for (w, run, certified) in items {
+                    results[w] = Some((run, certified));
                 }
-                // Keep the lowest-indexed error so the verdict does not
-                // depend on which worker happened to hit it first.
-                Err((w, e)) => match &first_error {
-                    Some((prev, _)) if *prev <= w => {}
-                    _ => first_error = Some((w, e)),
-                },
             }
+            // Keep the lowest-indexed error so the verdict does not
+            // depend on which worker happened to hit it first.
+            Err((w, e)) => match &first_error {
+                Some((prev, _)) if *prev <= w => {}
+                _ => first_error = Some((w, e)),
+            },
         }
     }
     if let Some((_, e)) = first_error {
@@ -307,14 +257,20 @@ pub fn sweep_cycle_time(
     let mut reports = Vec::with_capacity(circuits.len());
     let mut results = results.into_iter();
     for (c, base) in bases.iter().enumerate() {
+        let mut certified = base.certified();
         let runs: Vec<SweepRun> = results
             .by_ref()
             .take(options.runs)
-            .map(|r| r.expect("every work item completed"))
+            .map(|r| {
+                let (run, ok) = r.expect("every work item completed");
+                certified &= ok;
+                run
+            })
             .collect();
         let breakpoints = match &options.param {
             SweepParam::Tc { edge, max_delay } => {
-                cycle_time_curve(&circuits[c], &base.model, *edge, *max_delay)?.breakpoints()
+                let model = TimingModel::build(&circuits[c])?;
+                cycle_time_curve(&circuits[c], &model, *edge, *max_delay)?.breakpoints()
             }
             SweepParam::Delay { .. } => Vec::new(),
         };
@@ -327,111 +283,52 @@ pub fn sweep_cycle_time(
         }
         reports.push(SweepReport {
             circuit: c,
-            base_cycle_time: base.cycle_time,
-            base_iterations: base.iterations,
+            base_cycle_time: base.cycle_time(),
+            base_iterations: base.lp_iterations(),
             breakpoints,
             min_cycle_time: min,
             max_cycle_time: max,
             mean_cycle_time: sum / runs.len() as f64,
             warm_iterations: pivots,
+            certified,
             runs,
         });
     }
     Ok(reports)
 }
 
-/// Records a row's exact RHS before overwriting it via
-/// [`TimingModel::set_edge_delay`], so [`run_one`] can restore the
-/// worker's shared model bit-for-bit afterwards. Restoring the *recorded*
-/// value — rather than applying the inverse delta — keeps repeated runs
-/// from accumulating floating-point drift in the cached model.
-fn record_and_set(
-    model: &mut TimingModel,
-    touched: &mut Vec<(ConstraintId, f64)>,
-    edge: EdgeId,
-    old_delay: f64,
-    new_delay: f64,
-) {
-    if let Some(row) = model.edge_constraint(edge) {
-        let (_, _, rhs) = model.problem().constraint(row);
-        touched.push((row, rhs));
-        model.set_edge_delay(edge, old_delay, new_delay);
-    }
-}
-
-/// One re-solve: perturb the worker's cached model in place (RHS edits
-/// only), warm-start it from the worker's cached basis, then restore the
-/// recorded right-hand sides so the model is pristine for the next run.
-fn run_one(
+/// Run `i`'s circuit and its parameter value: the grid delay on the swept
+/// edge ([`SweepParam::Tc`]), or seed `seed + i`'s jittered delays and
+/// their largest relative deviation ([`SweepParam::Delay`]).
+fn perturb(
     circuit: &Circuit,
-    model: &mut TimingModel,
-    basis: &Basis,
     i: usize,
     options: &SweepOptions,
-) -> Result<SweepRun, TimingError> {
-    let mut touched: Vec<(ConstraintId, f64)> = Vec::new();
-    let value = match &options.param {
+) -> Result<(Circuit, f64), TimingError> {
+    let (delays, value) = match &options.param {
         SweepParam::Tc { edge, max_delay } => {
             let theta = if options.runs == 1 {
                 *max_delay
             } else {
                 max_delay * i as f64 / (options.runs - 1) as f64
             };
-            record_and_set(
-                model,
-                &mut touched,
-                *edge,
-                circuit.edge(*edge).max_delay,
-                theta,
-            );
-            theta
+            let mut delays: Vec<f64> = circuit.edges().iter().map(|e| e.max_delay).collect();
+            delays[edge.index()] = theta;
+            (delays, theta)
         }
         SweepParam::Delay { spread } => {
             let delays = perturbed_delays(circuit, *spread, options.seed.wrapping_add(i as u64));
-            let mut worst = 0.0f64;
-            for (e, (edge, &new)) in circuit.edges().iter().zip(&delays).enumerate() {
-                let id = EdgeId::new(e);
-                if new != edge.max_delay {
-                    record_and_set(model, &mut touched, id, edge.max_delay, new);
-                }
-                if edge.max_delay > 0.0 {
-                    worst = worst.max((new - edge.max_delay).abs() / edge.max_delay);
-                }
-            }
-            worst
+            let worst = circuit
+                .edges()
+                .iter()
+                .zip(&delays)
+                .filter(|(edge, _)| edge.max_delay > 0.0)
+                .map(|(edge, &new)| (new - edge.max_delay).abs() / edge.max_delay)
+                .fold(0.0, f64::max);
+            (delays, worst)
         }
     };
-    let solved = if options.certify {
-        let policy = RecoveryPolicy {
-            variant: options.variant,
-            pricing: options.pricing,
-            ..RecoveryPolicy::default()
-        };
-        model
-            .solve_lp_certified_from_basis(&policy, Some(basis))
-            .map(|(sol, _cert)| sol)
-    } else if options.pricing == smo_lp::Pricing::default() {
-        model.solve_lp_from_basis(options.variant, basis)
-    } else {
-        model.solve_lp_budgeted(
-            options.variant,
-            Some(basis),
-            smo_lp::SolveBudget::UNLIMITED,
-            options.pricing,
-        )
-    };
-    // Restore before propagating any error: the cached model must hold the
-    // exact base RHS whenever run_one returns.
-    for &(row, rhs) in touched.iter().rev() {
-        model.problem_mut().set_rhs(row, rhs);
-    }
-    let sol = solved?;
-    Ok(SweepRun {
-        index: i,
-        value,
-        cycle_time: sol.value(model.vars().tc()),
-        iterations: sol.iterations(),
-    })
+    Ok((circuit.with_max_delays(&delays)?, value))
 }
 
 fn validate(circuits: &[Circuit], options: &SweepOptions) -> Result<(), TimingError> {
@@ -558,56 +455,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_runs_use_fewer_pivots_than_the_cold_base() {
-        // A model big enough that the repair-vs-phase-1 gap is visible.
-        let c = random_circuit(
-            &GenConfig {
-                latches: 40,
-                edges: 70,
-                ..Default::default()
-            },
-            7,
-        );
-        let reports = sweep_cycle_time(
-            &[c],
-            &SweepOptions {
-                param: SweepParam::Delay { spread: 0.05 },
-                runs: 12,
-                seed: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let r = &reports[0];
-        let mean_warm = r.warm_iterations as f64 / r.runs.len() as f64;
-        assert!(
-            mean_warm < r.base_iterations as f64 / 2.0,
-            "warm mean {mean_warm} vs cold base {}",
-            r.base_iterations
-        );
-    }
-
-    #[test]
-    fn certify_mode_agrees_with_the_plain_sweep() {
-        let c = example1(80.0);
-        let opts = SweepOptions {
-            param: SweepParam::Delay { spread: 0.2 },
-            runs: 6,
-            seed: 11,
+    fn an_expired_budget_stops_the_sweep() {
+        let expired = SolveBudget::with_time_limit(std::time::Duration::ZERO);
+        let options = SweepOptions {
+            runs: 100_000,
             ..Default::default()
         };
-        let plain = sweep_cycle_time(std::slice::from_ref(&c), &opts).unwrap();
-        let certified = sweep_cycle_time(
-            &[c],
-            &SweepOptions {
-                certify: true,
-                ..opts
-            },
-        )
-        .unwrap();
-        for (p, q) in plain[0].runs.iter().zip(&certified[0].runs) {
-            assert!((p.cycle_time - q.cycle_time).abs() < 1e-9);
-        }
+        assert!(matches!(
+            sweep_cycle_time_within(&[example1(80.0)], &options, &expired),
+            Err(TimingError::Lp(smo_lp::LpError::Budget {
+                timed_out: true,
+                ..
+            }))
+        ));
     }
 
     #[test]

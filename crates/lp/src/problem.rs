@@ -418,26 +418,6 @@ impl Problem {
         self.validate()?;
         simplex::Tableau::basis_from_point(self, x)
     }
-
-    /// Fingerprint of the standard-form constraint *matrix* — the same
-    /// FNV-1a hash a basis snapshot carries
-    /// ([`Basis::matrix_hash`](crate::Basis::matrix_hash)).
-    ///
-    /// RHS values are deliberately excluded, so two models that differ only
-    /// in right-hand sides (e.g. the same circuit with perturbed delays)
-    /// share a fingerprint. Use it to key warm-start basis caches across a
-    /// batch of structurally identical problems.
-    ///
-    /// # Errors
-    ///
-    /// [`LpError`] if the problem fails validation or standard-form
-    /// construction (no objective, malformed bounds, …).
-    pub fn matrix_fingerprint(&self) -> Result<u64, LpError> {
-        self.validate()?;
-        // The CSC standard form carries the same hash as the dense tableau
-        // (the tableau is densified from it) at O(nnz) cost, not O(m·n).
-        Ok(crate::sparse::StdForm::build(self, None)?.matrix_hash)
-    }
 }
 
 impl fmt::Display for Problem {

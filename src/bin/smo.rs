@@ -16,7 +16,7 @@
 //! smo check    <netlist>            lint + solve + short-path race analysis
 //! smo analyze  <netlist>            cycle-time bracket + presolve report
 //! smo diagnose <netlist> [--cycle-time T]   why is there no schedule at T?
-//! smo sweep    <netlist> [--param tc|delay]  warm-started parameter sweep
+//! smo sweep    <netlist> [--param tc|delay]  parameter sweep
 //! ```
 //!
 //! Long-lived use goes through the daemon (same code path, same JSON):
@@ -35,7 +35,7 @@ use smo::api::{solve_json, sweep_json, ParseLimits};
 use smo::circuit::EdgeId;
 use smo::circuit::{lump_equivalent_latches, netlist, to_dot, Circuit, ClockSchedule};
 use smo::gen::datapath::{pipelined_datapath, DatapathConfig};
-use smo::lp::{Pricing, SimplexVariant};
+use smo::lp::SimplexVariant;
 use smo::sim::{monte_carlo, simulate, MonteCarloOptions, SimOptions};
 use smo::timing::{
     graph_feasible_at, min_cycle_time, min_cycle_time_with, render_solution, sweep_cycle_time,
@@ -59,8 +59,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   smo optimize <netlist>                         minimum cycle time + schedule
   smo solve    <netlist> [--backend auto|graph|lp] [--no-certify]
-               [--variant dense|sparse]
-               [--pricing devex|partial|bland] [--max-input-mb N]
+               [--variant dense|sparse] [--max-input-mb N]
                [--time-limit <secs>] [--json]
                                                  minimum cycle time with every
                                                  solver verdict independently
@@ -72,12 +71,7 @@ const USAGE: &str = "usage:
                                                  `auto` (default) solves
                                                  difference-only models on the
                                                  graph and warm-starts the
-                                                 simplex otherwise; --pricing
-                                                 picks the sparse variant's
-                                                 pivot-selection rule (default
-                                                 `partial`: candidate-list
-                                                 devex — same verdicts and
-                                                 optimum on every setting);
+                                                 simplex otherwise;
                                                  --max-input-mb N lifts the
                                                  netlist input limits to N MiB
                                                  (default 4; lines/elements
@@ -134,12 +128,13 @@ const USAGE: &str = "usage:
   smo montecarlo <netlist> <scale> [runs]        jittered-margin campaign at
                                                  scale × the optimal schedule
   smo sweep    <netlist> [--param tc|delay] [--runs N] [--jobs N] [--json]
-               [--edge E] [--max-delay D] [--spread S] [--seed S] [--certify]
-               [--variant dense|sparse]
-               [--pricing devex|partial|bland] [--max-input-mb N]
-                                                 warm-started cycle-time sweep:
-                                                 `tc` grids one edge's delay
-                                                 (exact breakpoints included),
+               [--edge E] [--max-delay D] [--spread S] [--seed S]
+               [--max-input-mb N]
+                                                 cycle-time sweep, every run
+                                                 the certified `smo solve`
+                                                 default: `tc` grids one
+                                                 edge's delay (exact
+                                                 breakpoints included),
                                                  `delay` jitters every delay
                                                  by ±spread; output is
                                                  identical for any --jobs
@@ -154,7 +149,7 @@ const USAGE: &str = "usage:
   smo call     <addr> <cmd> [netlist] [--id I] [--deadline-ms N]
                [--backend auto|graph|lp] [--no-certify] [--cycle-time T]
                [--phase s,w ...] [--param tc|delay] [--runs N] [--edge E]
-               [--spread S] [--seed S] [--pricing devex|partial|bland]
+               [--spread S] [--seed S]
                                                  send one request to a daemon
                                                  (cmd: ping, stats, shutdown,
                                                  solve, verify, check,
@@ -192,7 +187,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                             .parse()?;
                     }
                     "--variant" => options.simplex = parse_variant(&mut it)?,
-                    "--pricing" => options.pricing = parse_pricing(&mut it)?,
                     "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
                     "--time-limit" => {
                         let secs: f64 = it
@@ -672,10 +666,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let mut max_delay = None;
             let mut spread = 0.1f64;
             let mut seed = 0u64;
-            let mut certify = false;
             let mut json = false;
-            let mut variant = None;
-            let mut pricing = Pricing::default();
             let mut max_mb = None;
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
@@ -697,10 +688,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     "--max-delay" => max_delay = Some(parse_arg(&mut it, "--max-delay")?),
                     "--spread" => spread = parse_arg(&mut it, "--spread")?,
                     "--seed" => seed = parse_arg(&mut it, "--seed")?,
-                    "--certify" => certify = true,
                     "--json" => json = true,
-                    "--variant" => variant = Some(parse_variant(&mut it)?),
-                    "--pricing" => pricing = parse_pricing(&mut it)?,
                     "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
                     other if path.is_none() && !other.starts_with('-') => {
                         path = Some(other.to_string());
@@ -730,18 +718,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
                 _ => SweepParam::Delay { spread },
             };
-            let mut options = SweepOptions {
+            let options = SweepOptions {
                 param,
                 runs,
                 seed,
                 jobs,
-                certify,
-                pricing,
-                ..Default::default()
             };
-            if let Some(v) = variant {
-                options.variant = v;
-            }
             let reports = sweep_cycle_time(std::slice::from_ref(&circuit), &options)
                 .map_err(|e| e.to_string())?;
             let report = &reports[0];
@@ -863,12 +845,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                         let s: u64 = parse_arg(&mut it, "--seed")?;
                         fields.push(("seed".into(), s.to_string()));
                     }
-                    "--pricing" => {
-                        // Parsed locally so typos fail here, not at the
-                        // daemon.
-                        let p = parse_pricing(&mut it)?;
-                        fields.push(("pricing".into(), json_str(p.as_str())));
-                    }
                     other if netlist_path.is_none() && !other.starts_with('-') => {
                         netlist_path = Some(other.to_string());
                     }
@@ -960,14 +936,6 @@ where
         .ok_or_else(|| format!("{flag} needs a value"))?
         .parse()
         .map_err(|e| format!("bad {flag} value: {e}"))
-}
-
-/// Parses the value following `--pricing`.
-fn parse_pricing(it: &mut std::slice::Iter<'_, String>) -> Result<Pricing, String> {
-    it.next()
-        .ok_or("--pricing needs a value (devex, partial or bland)")?
-        .parse()
-        .map_err(|e| format!("bad --pricing value: {e}"))
 }
 
 /// Parses the value following `--variant`.

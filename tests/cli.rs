@@ -621,31 +621,37 @@ fn solve_under_the_raised_cap_still_enforces_it() {
 }
 
 #[test]
-fn solve_pricing_flag_is_accepted_and_verdict_invariant() {
-    for pricing in ["devex", "partial", "bland"] {
-        let out = smo(&[
-            "solve",
-            "circuits/example1.ckt",
-            "--backend",
-            "lp",
-            "--variant",
-            "sparse",
-            "--pricing",
-            pricing,
-        ]);
+fn removed_solver_flags_are_rejected() {
+    // Partial devex is the only pricing rule any workload runs, and every
+    // sweep run is the default certified pipeline, so these knobs are
+    // gone: each is a usage error, not a silently ignored flag.
+    let cases: [&[&str]; 4] = [
+        &["solve", "circuits/example1.ckt", "--pricing", "partial"],
+        &["sweep", "circuits/example1.ckt", "--pricing", "partial"],
+        &["sweep", "circuits/example1.ckt", "--certify"],
+        &["sweep", "circuits/example1.ckt", "--variant", "sparse"],
+    ];
+    for args in cases {
+        let out = smo(args);
+        assert!(!out.status.success(), "{args:?} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            out.status.success(),
-            "--pricing {pricing}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            err.contains(&format!("error: unexpected argument `{}`", args[2])),
+            "{args:?}: {err}"
         );
-        let text = stdout(&out);
-        assert!(text.contains("110.000000"), "--pricing {pricing}: {text}");
-        assert!(text.contains("certified: true"), "--pricing {pricing}");
+        let usage = err
+            .split_once("usage:")
+            .expect("usage text follows the error")
+            .1;
+        assert!(
+            !usage.contains("--pricing"),
+            "{args:?}: usage still offers --pricing"
+        );
+        assert!(
+            !usage.contains("[--certify]"),
+            "{args:?}: usage offers --certify"
+        );
     }
-
-    let out = smo(&["solve", "circuits/example1.ckt", "--pricing", "quantum"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown pricing"));
 }
 
 #[test]
@@ -668,37 +674,46 @@ fn check_rejects_bad_arguments() {
 
 #[test]
 fn variant_flag_accepts_dense_and_sparse_only() {
-    for cmd in ["solve", "sweep"] {
-        for variant in ["dense", "sparse"] {
-            let mut args = vec![cmd, "circuits/example1.ckt", "--variant", variant];
-            if cmd == "solve" {
-                args.extend(["--backend", "lp"]);
-            } else {
-                args.extend(["--runs", "2"]);
-            }
-            let out = smo(&args);
-            assert!(
-                out.status.success(),
-                "{cmd} --variant {variant}: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            assert!(
-                stdout(&out).contains("110.000000"),
-                "{cmd} --variant {variant}"
-            );
-        }
-        // The removed revised variant is a structured usage error naming
-        // the valid values, not a silent fallback.
-        let out = smo(&[cmd, "circuits/example1.ckt", "--variant", "revised"]);
-        assert!(!out.status.success(), "{cmd} accepted --variant revised");
-        let err = String::from_utf8_lossy(&out.stderr);
+    for variant in ["dense", "sparse"] {
+        let args = [
+            "solve",
+            "circuits/example1.ckt",
+            "--variant",
+            variant,
+            "--backend",
+            "lp",
+        ];
+        let out = smo(&args);
         assert!(
-            err.contains("error: bad --variant `revised` (expected dense or sparse)"),
-            "{cmd}: {err}"
+            out.status.success(),
+            "solve --variant {variant}: {}",
+            String::from_utf8_lossy(&out.stderr)
         );
         assert!(
-            err.contains("[--variant dense|sparse]"),
-            "{cmd}: usage text"
+            stdout(&out).contains("110.000000"),
+            "solve --variant {variant}"
+        );
+    }
+    // The removed revised variant is a structured usage error naming
+    // the valid values, not a silent fallback.
+    let out = smo(&["solve", "circuits/example1.ckt", "--variant", "revised"]);
+    assert!(!out.status.success(), "solve accepted --variant revised");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: bad --variant `revised` (expected dense or sparse)"),
+        "solve: {err}"
+    );
+    assert!(
+        err.contains("[--variant dense|sparse]"),
+        "solve: usage text"
+    );
+    // A sweep runs the default pipeline and picks no simplex variant.
+    for variant in ["dense", "sparse"] {
+        let out = smo(&["sweep", "circuits/example1.ckt", "--variant", variant]);
+        assert!(!out.status.success(), "sweep accepted --variant {variant}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unexpected argument `--variant`"),
+            "sweep --variant {variant}"
         );
     }
 }

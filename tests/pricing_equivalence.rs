@@ -6,36 +6,32 @@
 //! whose reduced costs all pass the optimality test — so the certified
 //! cycle time must agree to [`Tol::TIGHT`] on every circuit we can throw
 //! at it: the paper's shipped examples, the pathological stress suite,
-//! and randomized circuits. This is the contract that lets `--pricing`
-//! default to `partial` without anyone auditing verdicts: the flag may
+//! and randomized circuits. This is the contract that lets the sparse
+//! variant run `partial` without anyone auditing verdicts: the rule may
 //! change the route, never the destination.
 
 use proptest::prelude::*;
 use smo::gen::random::{random_circuit, GenConfig};
 use smo::gen::{paper, stress};
-use smo::lp::{Pricing, SimplexVariant, Tol};
+use smo::lp::{Pricing, RecoveryPolicy, SimplexVariant, Tol};
 use smo::prelude::*;
-use smo::timing::{min_cycle_time_with, Backend, MlpOptions};
+use smo::timing::TimingModel;
 
-/// Certified sparse-LU solve under one pricing strategy. The simplex is
-/// named explicitly: the default backend answers these pure models on the
-/// graph, where pricing never runs.
+/// Certified sparse-LU solve of the cycle-time LP under one pricing
+/// strategy. The simplex is called directly: the default pipeline answers
+/// these pure models on the graph, where pricing never runs.
 fn priced_tc(circuit: &Circuit, pricing: Pricing) -> f64 {
-    let options = MlpOptions {
-        backend: Backend::Lp,
-        simplex: SimplexVariant::SparseLu,
-        certify: true,
+    let policy = RecoveryPolicy {
+        variant: SimplexVariant::SparseLu,
         pricing,
         ..Default::default()
     };
-    let solution =
-        min_cycle_time_with(circuit, &options).expect("circuit solves under every pricing");
-    assert!(
-        solution.certified(),
-        "{pricing} solve did not certify: {:?}",
-        solution.certificates()
-    );
-    solution.cycle_time()
+    let model = TimingModel::build(circuit).expect("model builds");
+    let (solution, cert) = model
+        .solve_lp_certified(&policy)
+        .expect("circuit solves under every pricing");
+    assert!(cert.is_valid(), "{pricing} solve did not certify: {cert}");
+    solution.value(model.vars().tc())
 }
 
 /// Solves under all three pricings and asserts the optima agree.

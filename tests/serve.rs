@@ -178,6 +178,50 @@ fn deadline_expiry_over_the_wire() {
 }
 
 #[test]
+fn sweep_deadline_expiry_over_the_wire() {
+    let server = start_server(2, 2);
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    // 100k runs would take minutes; the 50 ms deadline is one absolute
+    // budget across the base solve and every run, so the sweep stops
+    // promptly with a structured budget error.
+    let big = netlist::write(&smo::gen::random::random_circuit(
+        &smo::gen::random::GenConfig {
+            latches: 120,
+            edges: 360,
+            ..Default::default()
+        },
+        7,
+    ));
+    let line = format!(
+        "{{\"id\":\"sw\",\"cmd\":\"sweep\",\"runs\":100000,\"deadline_ms\":50,\"netlist\":{}}}",
+        js(&big)
+    );
+    let started = std::time::Instant::now();
+    let resp = client.call(&line).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(
+        classify(&resp),
+        ("error".to_string(), "budget".to_string()),
+        "{resp}"
+    );
+    assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
+
+    // A small sweep of the same netlist under a generous deadline answers.
+    let line = format!(
+        "{{\"id\":\"sw2\",\"cmd\":\"sweep\",\"runs\":3,\"deadline_ms\":60000,\"netlist\":{}}}",
+        js(&big)
+    );
+    let ok = client.call(&line).unwrap();
+    assert_eq!(classify(&ok).0, "ok", "{ok}");
+    assert!(ok.contains("\"certified\":true"), "{ok}");
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn panic_isolation_and_quarantine() {
     let server = start_server(2, 2);
     let addr = server.addr().to_string();
