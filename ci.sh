@@ -47,9 +47,9 @@ cargo test -q --release --test pricing_equivalence
 
 echo "==> smo lint + smo analyze + certified smo solve over circuits/*.ckt"
 # `lint` exits non-zero on error-severity findings; `analyze` exits 2 when
-# the combinatorial bracket, the presolved solve, the plain solve or the
-# graph backend disagree (an internal soundness bug). Either failure
-# fails CI.
+# the combinatorial bracket misses the optimum or the graph backend and the
+# certified sparse-LU simplex disagree (an internal soundness bug). Either
+# failure fails CI.
 cargo build -q --release --bin smo
 for ckt in circuits/*.ckt; do
   echo "--- $ckt"
@@ -127,6 +127,15 @@ if grep -rn 'Revised' crates/ src/ tests/; then
   exit 1
 fi
 
+echo "==> the LP presolve layer stays deleted"
+# `smo analyze` cross-checks the graph backend against one certified
+# sparse-LU solve; no code or test may bring the removed reduction layer
+# back.
+if grep -rni 'presolve' crates/ src/ tests/; then
+  echo "the removed LP presolve layer is referenced again" >&2
+  exit 1
+fi
+
 echo "==> panic-freedom attributes across the analysis layer"
 # The static-analysis crate backs the `smo check` CI gate itself: every
 # source file keeps the deny-level unwrap/expect attribute so a
@@ -197,8 +206,8 @@ echo "==> 5k-row generated circuit: certified sparse-LU solve under a deadline +
 # End-to-end through the CLI: `smo gen` emits a 5k-constraint-row
 # pipelined datapath, and the sparse-LU variant must return a certified
 # optimum inside an explicit wall-clock budget. `smo analyze` must then
-# finish on the same design with every cross-check agreeing (its LP legs
-# run on sparse LU; exit 2 on any disagreement). The sweep's unperturbed
+# finish on the same design with every cross-check agreeing (its LP leg
+# runs on sparse LU; exit 2 on any disagreement). The sweep's unperturbed
 # base solve must print exactly the Tc `smo solve` prints.
 gen_ckt=$(mktemp --suffix=.ckt)
 ./target/release/smo gen --latches 1667 --seed 7 --out "$gen_ckt"
@@ -212,6 +221,23 @@ if [ -z "$solve_tc" ] || [ "$solve_tc" != "$sweep_tc" ]; then
   echo "SWEEP BASE DISAGREEMENT: solve '$solve_tc' vs sweep base '$sweep_tc'" >&2
   exit 1
 fi
+rm -f "$gen_ckt"
+
+echo "==> 10k-row generated circuit: smo analyze (graph vs certified sparse-LU LP)"
+# The graph backend is the production path; `analyze` must find it equal
+# to the certified sparse-LU optimum within Tol::TIGHT at >= 10k rows too
+# (exit 2 on any disagreement).
+gen_ckt=$(mktemp --suffix=.ckt)
+./target/release/smo gen --latches 3333 --seed 7 --out "$gen_ckt"
+./target/release/smo analyze "$gen_ckt" > /dev/null
+rm -f "$gen_ckt"
+
+echo "==> 50k-row generated circuit: smo lint cliff gate"
+# Zero-delay loops are one SCC pass over the zero-weight latch subgraph,
+# so lint stays linear: a 50k-row design must lint inside 10 s.
+gen_ckt=$(mktemp --suffix=.ckt)
+./target/release/smo gen --latches 16667 --seed 7 --out "$gen_ckt"
+timeout 10 ./target/release/smo lint "$gen_ckt" > /dev/null
 rm -f "$gen_ckt"
 
 echo "==> bench_scale (dense vs sparse-LU scaling gate)"

@@ -29,7 +29,8 @@ use crate::lint::{
 };
 use crate::report::AnalyzeError;
 use smo_circuit::Circuit;
-use smo_core::{race_analysis, Backend, RaceOptions, RaceReport};
+use smo_core::{race_analysis_within, Backend, RaceOptions, RaceReport};
+use smo_lp::SolveBudget;
 use std::fmt;
 
 /// Options for the [`check`] pipeline.
@@ -120,14 +121,31 @@ impl fmt::Display for CheckReport {
 /// models) surface as [`AnalyzeError::Timing`] rather than findings: they
 /// mean the race analysis never ran, not that the circuit is race-free.
 pub fn check(circuit: &Circuit, options: &CheckOptions) -> Result<CheckReport, AnalyzeError> {
+    check_within(circuit, options, &SolveBudget::UNLIMITED)
+}
+
+/// [`check`] under a wall-clock / iteration budget: the solve and the race
+/// analysis share one deadline, so a daemon request with a deadline cannot
+/// run unbounded.
+///
+/// # Errors
+///
+/// As [`check`]; an expired budget is an [`AnalyzeError::Timing`] wrapping
+/// [`smo_lp::LpError::Budget`].
+pub fn check_within(
+    circuit: &Circuit,
+    options: &CheckOptions,
+    budget: &SolveBudget,
+) -> Result<CheckReport, AnalyzeError> {
     let lint_report = lint_with(circuit, &options.config);
-    let race = race_analysis(
+    let race = race_analysis_within(
         circuit,
         &RaceOptions {
             backend: options.backend,
             cycle_time: options.cycle_time,
             ..RaceOptions::default()
         },
+        budget,
     )?;
 
     let mut findings = lint_report.findings;
@@ -261,6 +279,22 @@ mod tests {
         assert!(!report.has_errors(), "{report}");
         // The race analysis itself still records the hazard.
         assert!(!report.race().is_race_free());
+    }
+
+    #[test]
+    fn an_expired_budget_stops_the_check() {
+        let expired = SolveBudget::with_time_limit(std::time::Duration::ZERO);
+        let err = check_within(&example1(), &CheckOptions::default(), &expired).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AnalyzeError::Timing(smo_core::TimingError::Lp(smo_lp::LpError::Budget {
+                    timed_out: true,
+                    ..
+                }))
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -7,18 +7,13 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use smo_circuit::{Circuit, Cycle, LatchId, PhaseId};
+use smo_circuit::{Circuit, LatchId, PhaseId};
 use std::collections::BTreeMap;
-
-/// Bound on enumerated feedback cycles (cycle counts can be exponential).
-pub(crate) const CYCLE_LIMIT: usize = 256;
 
 /// Shared facts about one circuit: the graph decompositions and delay
 /// summaries every pass may consult.
 pub struct AnalysisContext<'c> {
     circuit: &'c Circuit,
-    /// Representative feedback cycles (capped at [`CYCLE_LIMIT`]).
-    cycles: Vec<Cycle>,
     /// Per-synchronizer: member of a cyclic SCC (feedback core).
     in_cyclic: Vec<bool>,
     /// Per-synchronizer: reachable *from* some cyclic core.
@@ -145,7 +140,6 @@ impl<'c> AnalysisContext<'c> {
 
         AnalysisContext {
             circuit,
-            cycles: circuit.cycles(CYCLE_LIMIT),
             in_cyclic,
             downstream,
             upstream,
@@ -159,11 +153,6 @@ impl<'c> AnalysisContext<'c> {
     /// The circuit under analysis.
     pub fn circuit(&self) -> &'c Circuit {
         self.circuit
-    }
-
-    /// Representative feedback cycles, capped at [`CYCLE_LIMIT`].
-    pub fn cycles(&self) -> &[Cycle] {
-        &self.cycles
     }
 
     /// `true` when the synchronizer belongs to a cyclic SCC.

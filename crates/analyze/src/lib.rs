@@ -8,14 +8,16 @@
 //!   (SCCs, reachability, connectivity, phase usage and the min/max delay
 //!   closure are each computed once): dangling synchronizers, dead
 //!   phases, duplicate paths, zero-delay transparent loops (critical
-//!   races), thin flip-flop hold margins (measured `mindelay` data when
+//!   races; one finding per group of loops sharing latches, found by one
+//!   exact, uncapped SCC pass), thin flip-flop hold margins (measured `mindelay` data when
 //!   present, a heuristic otherwise) and suspicious `Δ_DQ`/setup ratios.
 //!   No LP is solved; this is a pure graph pass. A [`PassConfig`]
 //!   suppresses or re-grades rules, and findings sort canonically so
 //!   `--json` output is byte-deterministic.
-//! * **Checking** ([`check`]) — the one-shot static gate behind
-//!   `smo check`: lint passes + the cycle-time solve (graph or LP
-//!   backend) + the paper's short-path constraint family. Every
+//! * **Checking** ([`check`], [`check_within`] under a solve budget) —
+//!   the one-shot static gate behind `smo check`: lint passes + the
+//!   cycle-time solve (graph or LP backend) + the paper's short-path
+//!   constraint family. Every
 //!   double-clocking race lands in the findings as an error with its
 //!   [`ShortPathWitness`](smo_core::ShortPathWitness) text.
 //! * **Diagnosis** ([`diagnose`]) — when a cycle-time target makes the
@@ -23,11 +25,13 @@
 //!   irreducible infeasible subsystem and map every member back to the
 //!   paper's constraint names (C1–C3 clock rows, L1 setup, L2R
 //!   propagation) with the latches and phases involved.
-//! * **Constraint analysis** ([`analyze`]) — cross-check the combinatorial
-//!   cycle-time bracket `lower ≤ Tc* ≤ upper` against the LP optimum solved
-//!   both through the presolve pipeline and plain, and report which
-//!   constraint families presolve removed. Any disagreement is a hard
-//!   [`AnalyzeError`], not a finding.
+//! * **Constraint analysis** ([`analyze`]) — the oracle for the production
+//!   path: the combinatorial cycle-time bracket `lower ≤ Tc* ≤ upper` must
+//!   contain the optimum, and on pure difference-constraint models the
+//!   graph backend's Tc must equal the certified sparse-LU simplex's within
+//!   `Tol::TIGHT`; the report also breaks the rows down by paper family
+//!   and classifier fragment. Any disagreement is a hard [`AnalyzeError`],
+//!   not a finding.
 //!
 //! The passes back the `smo lint`, `smo diagnose` and `smo analyze` CLI
 //! subcommands.
@@ -66,7 +70,7 @@ mod lint;
 pub mod passes;
 mod report;
 
-pub use check::{check, CheckOptions, CheckReport};
+pub use check::{check, check_within, CheckOptions, CheckReport};
 pub use context::{AnalysisContext, PairDelays};
 pub use diagnose::{diagnose, diagnose_with, Diagnosis};
 pub use lint::{lint, lint_with, Finding, LintReport, PassConfig, Rule, Severity};

@@ -65,8 +65,11 @@ pub enum Rule {
     /// Two `path` lines with the same endpoints: only the slower one
     /// matters for long paths, which usually means a duplicated line.
     DuplicateEdge,
-    /// A feedback loop of transparent latches with zero combinational
-    /// delay around it: a critical race no clock schedule can fix.
+    /// A feedback loop of transparent latches with zero delay
+    /// (combinational + `Δ_DQ`) around it: a critical race no clock
+    /// schedule can fix. One finding per group of such loops that share
+    /// latches, naming the shortest loop through the group's first latch;
+    /// found by one exact SCC pass, with no cap on the cycles searched.
     ZeroDelayLoop,
     /// A flip-flop whose hold requirement exceeds the short-path delay of
     /// a same-phase fan-in edge (same-edge race). Uses measured

@@ -134,6 +134,11 @@ impl Pass for DuplicateEdgePass {
 /// `zero-delay-loop`: an all-latch feedback cycle with zero total delay
 /// (combinational + Δ_DQ) — data races around it while every latch on the
 /// loop is transparent, and no clock schedule can stop it.
+///
+/// One finding per group of such loops that share latches (a cyclic SCC
+/// of the zero-delay latch subgraph), naming the witness cycle
+/// [`Circuit::zero_delay_loops`](smo_circuit::Circuit::zero_delay_loops)
+/// picks: exact and uncapped, however many cycles the design has.
 struct ZeroDelayLoopPass;
 
 impl Pass for ZeroDelayLoopPass {
@@ -143,32 +148,26 @@ impl Pass for ZeroDelayLoopPass {
 
     fn run(&self, ctx: &AnalysisContext<'_>, out: &mut Vec<Finding>) {
         let circuit = ctx.circuit();
-        for cycle in ctx.cycles() {
-            let all_latches = cycle
+        for cycle in circuit.zero_delay_loops() {
+            // Render with latch names, not the id-based `Cycle` display.
+            let mut path: Vec<&str> = cycle
                 .latches
                 .iter()
-                .all(|&l| circuit.sync(l).kind == SyncKind::Latch);
-            if all_latches && circuit.cycle_delay(cycle) <= 0.0 {
-                // Render with latch names, not the id-based `Cycle` display.
-                let mut path: Vec<&str> = cycle
-                    .latches
-                    .iter()
-                    .map(|&l| circuit.sync(l).name.as_str())
-                    .collect();
-                if let Some(&first) = path.first() {
-                    path.push(first);
-                }
-                push(
-                    out,
-                    self.rule(),
-                    Severity::Error,
-                    path.join("→"),
-                    format!(
-                        "zero-delay loop through transparent latches ({}): critical race",
-                        path.join(" → ")
-                    ),
-                );
+                .map(|&l| circuit.sync(l).name.as_str())
+                .collect();
+            if let Some(&first) = path.first() {
+                path.push(first);
             }
+            push(
+                out,
+                self.rule(),
+                Severity::Error,
+                path.join("→"),
+                format!(
+                    "zero-delay loop through transparent latches ({}): critical race",
+                    path.join(" → ")
+                ),
+            );
         }
     }
 }

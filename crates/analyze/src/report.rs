@@ -4,18 +4,19 @@
 //!
 //! 1. the **combinatorial bracket** `lower ≤ Tc* ≤ upper` from
 //!    [`smo_core::cycle_time_bounds`] (no LP),
-//! 2. the **LP optimum** solved through the presolve pipeline
-//!    ([`Problem::solve_with_presolve`](smo_lp::Problem::solve_with_presolve)),
-//! 3. the **LP optimum without presolve**, as a soundness witness.
+//! 2. the **graph optimum** from the min-cycle-ratio backend — the
+//!    production path — on pure difference-constraint models,
+//! 3. the **certified LP optimum** from one sparse-LU simplex solve whose
+//!    KKT certificate is re-verified from the raw constraint data.
 //!
-//! The three must agree — the bracket must contain the optimum and the two
-//! solves must return the same objective — or [`analyze`] returns a hard
-//! [`AnalyzeError`] rather than a report: a disagreement means a bug in the
-//! bound derivation or the presolve reductions, not in the circuit.
+//! The three must agree — the bracket must contain the optimum and the graph
+//! and LP optima must match within [`Tol::TIGHT`] — or [`analyze`] returns a
+//! hard [`AnalyzeError`] rather than a report: a disagreement means a bug in
+//! the bound derivation or one of the two solvers, not in the circuit.
 //!
-//! The report also names, family by family (the paper's C1–C3 clock rows,
-//! L1 setup, L2R propagation, flip-flop rows), which constraints presolve
-//! removed before the simplex ran.
+//! The report also breaks the rows down by paper family (the C1–C3 clock
+//! rows, L1 setup, L2R propagation, flip-flop rows) and says how many of
+//! each lie in the difference fragment the graph backend solves.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -24,15 +25,10 @@ use smo_core::{
     classify_model, cycle_time_bounds, min_cycle_time_with, Backend, ConstraintKind,
     CycleTimeBounds, MlpOptions, TimingError, TimingModel,
 };
-use smo_lp::{LpError, PresolveOptions, PresolveStats, RowFate, SimplexVariant};
+use smo_lp::{SimplexVariant, Tol};
 use std::fmt;
 
-/// Objective agreement tolerance between the presolved and plain solves.
-/// On the shipped circuits the two paths are bit-identical; the tolerance
-/// only guards against platform-dependent rounding on exotic inputs.
-const AGREE_TOL: f64 = 1e-9;
-
-/// The paper-facing constraint families used for the removal breakdown.
+/// The paper-facing constraint families used for the row breakdown.
 /// Ordered as they appear in §III of the paper.
 const FAMILIES: [&str; 8] = [
     "C1",
@@ -66,7 +62,7 @@ fn family_index(kind: ConstraintKind) -> usize {
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalyzeError {
     /// Building or solving the timing model failed.
-    Timing(String),
+    Timing(TimingError),
     /// The LP optimum fell outside the combinatorial bracket — an internal
     /// soundness failure (bug in the bounds or the model), never a property
     /// of the circuit.
@@ -78,21 +74,13 @@ pub enum AnalyzeError {
         /// The LP optimum that escaped the bracket.
         optimum: f64,
     },
-    /// The presolved and plain solves returned different optima — an
-    /// internal soundness failure in the presolve/postsolve pair.
-    PresolveDisagree {
-        /// Optimum through the presolve pipeline.
-        with_presolve: f64,
-        /// Optimum of the untouched problem.
-        without_presolve: f64,
-    },
     /// The difference-constraint graph backend and the simplex returned
-    /// different optima on a pure-difference model — an internal soundness
-    /// failure in one of the two solvers.
+    /// optima more than [`Tol::TIGHT`] apart on a pure-difference model —
+    /// an internal soundness failure in one of the two solvers.
     BackendDisagree {
         /// Exact optimum from the min-cycle-ratio graph solver.
         graph: f64,
-        /// Optimum from the (certified) simplex.
+        /// Optimum from the certified sparse-LU simplex.
         lp: f64,
     },
 }
@@ -100,7 +88,7 @@ pub enum AnalyzeError {
 impl fmt::Display for AnalyzeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AnalyzeError::Timing(reason) => write!(f, "{reason}"),
+            AnalyzeError::Timing(e) => write!(f, "{e}"),
             AnalyzeError::BoundsDisagree {
                 lower,
                 upper,
@@ -109,14 +97,6 @@ impl fmt::Display for AnalyzeError {
                 f,
                 "soundness failure: LP optimum {optimum} escapes the certified \
                  combinatorial bracket [{lower}, {upper}]"
-            ),
-            AnalyzeError::PresolveDisagree {
-                with_presolve,
-                without_presolve,
-            } => write!(
-                f,
-                "soundness failure: presolved solve returned {with_presolve} but the \
-                 plain solve returned {without_presolve}"
             ),
             AnalyzeError::BackendDisagree { graph, lp } => write!(
                 f,
@@ -131,17 +111,12 @@ impl std::error::Error for AnalyzeError {}
 
 impl From<TimingError> for AnalyzeError {
     fn from(e: TimingError) -> Self {
-        AnalyzeError::Timing(e.to_string())
+        AnalyzeError::Timing(e)
     }
 }
 
-impl From<LpError> for AnalyzeError {
-    fn from(e: LpError) -> Self {
-        AnalyzeError::Timing(e.to_string())
-    }
-}
-
-/// The `smo analyze` report: bracket, LP optimum, and presolve breakdown.
+/// The `smo analyze` report: bracket, graph and certified LP optima, and
+/// the row-classification breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzeReport {
     /// Synchronizer count of the circuit.
@@ -156,18 +131,14 @@ pub struct AnalyzeReport {
     /// cyclic SCC, in the same (decreasing-ratio) order as
     /// `bounds.critical`.
     pub critical_names: Vec<String>,
-    /// The LP optimum `Tc*`, solved through the presolve pipeline and
-    /// cross-checked against the plain solve.
+    /// The LP optimum `Tc*`: the objective of the certified sparse-LU
+    /// solve, the value [`AnalyzeReport::certificate`] certifies.
     pub optimum: f64,
     /// `optimum == bounds.lower` up to `1e-6` relative — the bracket is
     /// tight and the critical cycle alone determines the cycle time.
     pub lower_is_tight: bool,
-    /// Row/variable reduction counters from presolve.
-    pub presolve: PresolveStats,
-    /// Rows removed by presolve per paper family, in §III order:
-    /// C1, C2, C3, L1, L2R, FF setup, FF departure, extra.
-    pub removed_by_family: Vec<(&'static str, usize)>,
-    /// Constraint-classifier coverage per paper family, in §III order:
+    /// Constraint-classifier coverage per paper family, in §III order
+    /// (C1, C2, C3, L1, L2R, FF setup, FF departure, extra):
     /// `(family, rows, difference_rows)` where `difference_rows` counts the
     /// rows in the difference fragment (two-variable difference,
     /// single-variable, or parameter-only under the recombination).
@@ -180,19 +151,13 @@ pub struct AnalyzeReport {
     /// Always cross-checked against the LP optimum before the report is
     /// returned.
     pub graph_optimum: Option<f64>,
-    /// Independent KKT certificate for the plain cross-check solve: the
-    /// reported optimum is not just "what the simplex said" but has been
+    /// Independent KKT certificate for the LP solve: the reported optimum is not just "what the simplex said" but has been
     /// re-verified from the raw constraint data (primal/dual feasibility,
     /// complementary slackness, duality gap).
     pub certificate: Option<smo_lp::Certificate>,
 }
 
 impl AnalyzeReport {
-    /// Total rows presolve removed (any family).
-    pub fn rows_removed(&self) -> usize {
-        self.presolve.rows_removed()
-    }
-
     /// Renders the report as a JSON object (hand-rolled, schema mirroring
     /// the `Display` output).
     pub fn to_json(&self) -> String {
@@ -247,27 +212,6 @@ impl AnalyzeReport {
             None => out.push_str("  \"certificate\": null,\n"),
         }
         out.push_str(&format!("  \"lower_is_tight\": {},\n", self.lower_is_tight));
-        out.push_str(&format!(
-            "  \"presolve\": {{\"rows_before\": {}, \"rows_after\": {}, \"vars_before\": {}, \
-             \"vars_after\": {}, \"fixed_vars\": {}, \"tightened_bounds\": {}, \"passes\": {}}},\n",
-            self.presolve.rows_before,
-            self.presolve.rows_after,
-            self.presolve.vars_before,
-            self.presolve.vars_after,
-            self.presolve.fixed_vars,
-            self.presolve.tightened_bounds,
-            self.presolve.passes
-        ));
-        out.push_str("  \"removed_by_family\": {");
-        let mut first = true;
-        for (family, n) in &self.removed_by_family {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{}\": {}", json_escape(family), n));
-        }
-        out.push_str("},\n");
         let total_rows: usize = self.classified_by_family.iter().map(|(_, r, _)| r).sum();
         let diff_rows: usize = self.classified_by_family.iter().map(|(_, _, d)| d).sum();
         out.push_str(&format!(
@@ -365,30 +309,18 @@ impl fmt::Display for AnalyzeReport {
                 "graph backend: not exact here (general rows present); simplex decides"
             )?,
         }
-        writeln!(f, "presolve: {}", self.presolve)?;
-        let removed: Vec<String> = self
-            .removed_by_family
-            .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(family, n)| format!("{family} x{n}"))
-            .collect();
-        if removed.is_empty() {
-            writeln!(f, "  no rows removed; the model is already irredundant")?;
-        } else {
-            writeln!(f, "  removed by family: {}", removed.join(", "))?;
-        }
         Ok(())
     }
 }
 
 /// Analyzes `circuit`: computes the combinatorial bracket, solves the LP
-/// through presolve, cross-checks both against the plain solve, and
-/// reports what presolve removed.
+/// once on the certified sparse-LU simplex, solves pure models on the
+/// graph backend too, and insists all three agree.
 ///
 /// # Errors
 ///
 /// [`AnalyzeError::Timing`] when the model cannot be built or solved;
-/// [`AnalyzeError::BoundsDisagree`] / [`AnalyzeError::PresolveDisagree`]
+/// [`AnalyzeError::BoundsDisagree`] / [`AnalyzeError::BackendDisagree`]
 /// when a soundness cross-check fails (these indicate an internal bug, and
 /// `smo analyze` surfaces them with a distinct exit code).
 pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
@@ -407,56 +339,19 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
         }
     }
 
-    // Presolve for the reduction breakdown.
-    let opts = PresolveOptions::default();
-    let pre = model.problem().presolve(&opts);
-    let mut removed = vec![0usize; FAMILIES.len()];
-    for info in model.constraints() {
-        match pre.row_fate(info.row) {
-            RowFate::Kept(_) => {}
-            _ => removed[family_index(info.kind)] += 1,
-        }
-    }
-
-    // Solve twice — through presolve and plain — and insist they agree.
-    // Both legs run the sparse-LU simplex, whose cost scales with the
-    // matrix nonzeros, so the cross-check finishes on large designs too.
-    let presolved_sol = model
-        .problem()
-        .solve_with_presolve(SimplexVariant::SparseLu, &opts)?;
-    let with_presolve = match presolved_sol.status() {
-        smo_lp::Status::Optimal => match presolved_sol.objective() {
-            Some(objective) => objective,
-            None => {
-                return Err(AnalyzeError::Timing(
-                    "presolved solve reported optimal without an objective".into(),
-                ))
-            }
-        },
-        smo_lp::Status::Infeasible => {
-            return Err(AnalyzeError::Timing(
-                "the clock and latch constraints admit no schedule".into(),
-            ))
-        }
-        smo_lp::Status::Unbounded => return Err(TimingError::Unbounded.into()),
-    };
-    // The plain solve doubles as the certified witness: its verdict is
-    // re-verified from the raw constraint data (walking the numerical
-    // recovery ladder if the first attempt does not certify).
-    let (plain_sol, certificate) = model.solve_lp_certified(&smo_lp::RecoveryPolicy {
+    // The LP leg: one sparse-LU solve whose verdict is re-verified from the
+    // raw constraint data (walking the numerical recovery ladder if the
+    // first attempt does not certify). Its cost scales with the matrix
+    // nonzeros, so the cross-check finishes on large designs too.
+    let (lp_sol, certificate) = model.solve_lp_certified(&smo_lp::RecoveryPolicy {
         variant: SimplexVariant::SparseLu,
         ..Default::default()
     })?;
-    let without_presolve = plain_sol.objective();
-    if (with_presolve - without_presolve).abs() > AGREE_TOL * (1.0 + without_presolve.abs()) {
-        return Err(AnalyzeError::PresolveDisagree {
-            with_presolve,
-            without_presolve,
-        });
-    }
+    let optimum = lp_sol.objective();
 
-    // On pure-difference models the graph backend solves the same problem
-    // exactly; its optimum and the simplex's must coincide.
+    // On pure-difference models the graph backend — the production path —
+    // solves the same problem exactly; its optimum and the simplex's must
+    // coincide.
     let graph_optimum = if cls.is_pure() {
         let graph_sol = min_cycle_time_with(
             circuit,
@@ -466,11 +361,8 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
             },
         )?;
         let graph = graph_sol.cycle_time();
-        if (graph - without_presolve).abs() > AGREE_TOL * (1.0 + without_presolve.abs()) {
-            return Err(AnalyzeError::BackendDisagree {
-                graph,
-                lp: without_presolve,
-            });
+        if !Tol::TIGHT.eq(graph, optimum) {
+            return Err(AnalyzeError::BackendDisagree { graph, lp: optimum });
         }
         Some(graph)
     } else {
@@ -479,11 +371,11 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
 
     // The combinatorial bracket must contain the optimum.
     let bounds = cycle_time_bounds(circuit);
-    if !bounds.brackets(with_presolve) {
+    if !bounds.brackets(optimum) {
         return Err(AnalyzeError::BoundsDisagree {
             lower: bounds.lower,
             upper: bounds.upper,
-            optimum: with_presolve,
+            optimum,
         });
     }
 
@@ -503,7 +395,7 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
             names.join(" → ")
         })
         .collect();
-    let lower_is_tight = (with_presolve - bounds.lower).abs() <= 1e-6 * (1.0 + bounds.lower.abs());
+    let lower_is_tight = (optimum - bounds.lower).abs() <= 1e-6 * (1.0 + bounds.lower.abs());
 
     Ok(AnalyzeReport {
         num_syncs: circuit.num_syncs(),
@@ -511,10 +403,8 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
         num_phases: circuit.num_phases(),
         bounds,
         critical_names,
-        optimum: with_presolve,
+        optimum,
         lower_is_tight,
-        presolve: *pre.stats(),
-        removed_by_family: FAMILIES.iter().copied().zip(removed).collect(),
         classified_by_family: FAMILIES
             .iter()
             .copied()
@@ -590,23 +480,23 @@ mod tests {
     }
 
     #[test]
-    fn flip_flops_feed_the_presolve_breakdown() {
-        // Flip-flop departures are `D = 0` equality singletons: presolve
-        // folds them and the breakdown names the family.
+    fn flip_flops_are_classified_and_cross_checked() {
+        // Flip-flop departures are `D = 0` single-variable rows: they lie
+        // in the difference fragment, so the graph leg runs and agrees.
         let mut b = CircuitBuilder::new(2);
         let f1 = b.add_flip_flop("F1", p(1), 1.0, 2.0);
         let f2 = b.add_flip_flop("F2", p(2), 1.0, 2.0);
         b.connect(f1, f2, 10.0);
         b.connect(f2, f1, 10.0);
         let r = analyze(&b.build().unwrap()).unwrap();
-        assert!(r.rows_removed() >= 2, "stats: {}", r.presolve);
         let ff = r
-            .removed_by_family
+            .classified_by_family
             .iter()
-            .find(|(f, _)| *f == "FF departure")
+            .find(|(f, _, _)| *f == "FF departure")
             .unwrap();
-        assert!(ff.1 >= 2);
-        assert!(r.to_string().contains("FF departure x"));
+        assert_eq!((ff.1, ff.2), (2, 2));
+        assert_eq!(r.graph_optimum, Some(r.optimum));
+        assert!(r.to_string().contains("FF departure 2/2"));
     }
 
     #[test]
@@ -617,7 +507,7 @@ mod tests {
         assert!(json.contains("\"lower\": 110"));
         assert!(json.contains("\"upper\": 180"));
         assert!(json.contains("L1 → L2 → L3 → L4 → L1"));
-        assert!(json.contains("\"removed_by_family\""));
+        assert!(json.contains("\"graph_optimum\": 110"));
     }
 
     #[test]
@@ -682,11 +572,6 @@ mod tests {
             optimum: 25.0,
         };
         assert!(b.to_string().contains("escapes the certified"));
-        let p = AnalyzeError::PresolveDisagree {
-            with_presolve: 10.0,
-            without_presolve: 11.0,
-        };
-        assert!(p.to_string().contains("presolved solve"));
         let g = AnalyzeError::BackendDisagree {
             graph: 10.0,
             lp: 11.0,

@@ -399,7 +399,7 @@ impl Engine {
                     backend: *backend,
                     ..Default::default()
                 };
-                ops::run_check(&circuit, &options)
+                ops::run_check(&circuit, &options, &budget)
             }
             Command::Diagnose { cycle_time, .. } => ops::run_diagnose(&circuit, *cycle_time),
             Command::Sweep {

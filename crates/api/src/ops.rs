@@ -190,13 +190,17 @@ pub fn run_verify(
     Ok(out)
 }
 
-/// Lint + solve + race analysis; returns the report's own JSON.
+/// Lint + solve + race analysis under `budget`; returns the report's own
+/// JSON. Solve failures keep their own kind (`budget`, `infeasible`, …).
 pub fn run_check(
     circuit: &Circuit,
     options: &smo_analyze::CheckOptions,
+    budget: &SolveBudget,
 ) -> Result<String, ApiError> {
-    let report = smo_analyze::check(circuit, options)
-        .map_err(|e| ApiError::new(crate::error::ErrorKind::Internal, e.to_string()))?;
+    let report = smo_analyze::check_within(circuit, options, budget).map_err(|e| match e {
+        smo_analyze::AnalyzeError::Timing(e) => ApiError::from(e),
+        other => ApiError::new(crate::error::ErrorKind::Internal, other.to_string()),
+    })?;
     Ok(report.to_json())
 }
 

@@ -10,8 +10,8 @@
 //! 4. **Update mode**: Jacobi vs Gauss-Seidel vs event-driven departure
 //!    sliding (§IV's proposed enhancements).
 //! 5. **Bus lumping**: the §IV "32-bit data bus" reduction.
-//! 6. **LP presolve**: singleton/duplicate/redundancy elimination before
-//!    the simplex, on vs off, for both simplex variants.
+//! 6. **Certification**: the overhead of the KKT certificate and the
+//!    recovery ladder over a plain solve, for both simplex variants.
 
 use smo_circuit::{lump_equivalent_latches, CircuitBuilder, PhaseId};
 use smo_core::{
@@ -19,7 +19,7 @@ use smo_core::{
     NonoverlapScope, TimingModel, UpdateMode,
 };
 use smo_gen::random::{random_circuit, GenConfig};
-use smo_lp::{PresolveOptions, SimplexVariant};
+use smo_lp::SimplexVariant;
 use std::time::Instant;
 
 fn ms(f: impl FnOnce()) -> f64 {
@@ -201,7 +201,7 @@ fn main() {
         );
     }
 
-    smo_bench::header("Ablation 6 — LP presolve on vs off (650-row scale)");
+    smo_bench::header("Ablation 6 — certification + recovery-ladder overhead (650-row scale)");
     let cfg = GenConfig {
         latches: 256,
         edges: 384,
@@ -210,55 +210,7 @@ fn main() {
     };
     let big = random_circuit(&cfg, 11);
     let model = TimingModel::build(&big).expect("model");
-    let stats = model.problem().presolve(&PresolveOptions::default());
-    println!(
-        "{} constraints; presolve: {}",
-        model.num_constraints(),
-        stats.stats()
-    );
-    println!(
-        "{}",
-        smo_bench::row(
-            &["variant", "presolve", "Tc", "solve (ms)"],
-            &[8, 9, 11, 11]
-        )
-    );
-    let mut reference = None;
-    for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
-        for (label, opts) in [
-            ("off", PresolveOptions::off()),
-            ("on", PresolveOptions::default()),
-        ] {
-            let mut tc = 0.0;
-            let t = ms(|| {
-                tc = model
-                    .problem()
-                    .solve_with_presolve(variant, &opts)
-                    .expect("solves")
-                    .objective()
-                    .expect("optimal");
-            });
-            let reference = *reference.get_or_insert(tc);
-            assert!(
-                (tc - reference).abs() < 1e-9,
-                "presolve changed the optimum: {tc} vs {reference}"
-            );
-            println!(
-                "{}",
-                smo_bench::row(
-                    &[
-                        &format!("{variant:?}"),
-                        label,
-                        &format!("{tc:.4}"),
-                        &format!("{t:.2}"),
-                    ],
-                    &[8, 9, 11, 11],
-                )
-            );
-        }
-    }
-
-    smo_bench::header("Ablation 7 — certification + recovery-ladder overhead (650-row scale)");
+    println!("{} constraints", model.num_constraints());
     println!(
         "{}",
         smo_bench::row(

@@ -199,28 +199,79 @@ impl Circuit {
             .any(|c| c.len() > 1 || (c.len() == 1 && adj[c[0]].contains(&c[0])))
     }
 
-    /// Enumerates elementary feedback cycles, at most `limit` of them.
+    /// One witness per group of zero-delay all-latch feedback loops.
     ///
-    /// Cycle counts can be exponential; `limit` bounds the work. The result
-    /// is intended for diagnostics (e.g. reporting which loop makes a
-    /// schedule infeasible).
-    pub fn cycles(&self, limit: usize) -> Vec<Cycle> {
-        let adj = self.adjacency();
-        let mut out = Vec::new();
-        for comp in graph::strongly_connected_components(&adj) {
-            if out.len() >= limit {
-                break;
-            }
-            let is_loop = comp.len() > 1 || adj[comp[0]].contains(&comp[0]);
-            if !is_loop {
+    /// A hop `from → to` weighs its largest parallel `max_delay` plus
+    /// `Δ_DQ(from)`. Builder validation makes both finite and `≥ 0`, so an
+    /// all-latch cycle has total delay `≤ 0` exactly when every hop weighs
+    /// zero: the loops are the cyclic SCCs of the subgraph of latches
+    /// joined by zero-weight hops. Each SCC yields one witness, the
+    /// shortest cycle (by BFS) through its lowest-index latch, starting at
+    /// that latch; witnesses are ordered by that latch. O(V + E), exact and
+    /// uncapped.
+    pub fn zero_delay_loops(&self) -> Vec<Cycle> {
+        let n = self.syncs.len();
+        // Zero-weight hops between latches. `hop[t]` holds the largest
+        // weight into `t` from the current source; every touched target is
+        // in `zero[v]`, so the `retain` pass also resets `hop`.
+        let mut hop = vec![f64::NEG_INFINITY; n];
+        let mut zero = vec![Vec::new(); n];
+        for (v, s) in self.syncs.iter().enumerate() {
+            if s.kind != SyncKind::Latch {
                 continue;
             }
-            for cyc in graph::enumerate_cycles(&adj, &comp, limit - out.len()) {
-                out.push(Cycle {
-                    latches: cyc.into_iter().map(LatchId::new).collect(),
-                });
+            for &e in &self.fanout[v] {
+                let edge = &self.edges[e.index()];
+                let t = edge.to.index();
+                if self.syncs[t].kind != SyncKind::Latch {
+                    continue;
+                }
+                if hop[t] == f64::NEG_INFINITY {
+                    zero[v].push(t);
+                }
+                hop[t] = hop[t].max(edge.max_delay + s.dq);
+            }
+            zero[v].retain(|&t| std::mem::replace(&mut hop[t], f64::NEG_INFINITY) <= 0.0);
+        }
+
+        let comps = graph::strongly_connected_components(&zero);
+        let mut comp_of = vec![0; n];
+        for (c, comp) in comps.iter().enumerate() {
+            for &v in comp {
+                comp_of[v] = c;
             }
         }
+        // BFS parents; each search stays inside its own SCC, so the array
+        // never needs resetting between components.
+        let mut parent = vec![usize::MAX; n];
+        let mut out = Vec::new();
+        for (c, comp) in comps.iter().enumerate() {
+            let root = comp.iter().copied().min().unwrap_or(0);
+            if comp.len() == 1 && !zero[root].contains(&root) {
+                continue;
+            }
+            let mut queue = std::collections::VecDeque::from([root]);
+            'bfs: while let Some(u) = queue.pop_front() {
+                for &w in &zero[u] {
+                    if w == root {
+                        let mut latches = vec![LatchId::new(u)];
+                        let mut at = u;
+                        while at != root {
+                            at = parent[at];
+                            latches.push(LatchId::new(at));
+                        }
+                        latches.reverse();
+                        out.push(Cycle { latches });
+                        break 'bfs;
+                    }
+                    if comp_of[w] == c && parent[w] == usize::MAX {
+                        parent[w] = u;
+                        queue.push_back(w);
+                    }
+                }
+            }
+        }
+        out.sort_by_key(|cycle| cycle.latches[0]);
         out
     }
 
@@ -247,37 +298,6 @@ impl Circuit {
             }
         }
         adj
-    }
-
-    /// Sum of all long-path delays around a cycle, including latch
-    /// propagation delays — the numerator of the paper's "average delay
-    /// around the loop" bound (§V, Example 1 discussion).
-    ///
-    /// Uses, for each hop, the *maximum* delay among parallel edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cycle's consecutive synchronizers are not connected.
-    pub fn cycle_delay(&self, cycle: &Cycle) -> f64 {
-        let n = cycle.latches.len();
-        let mut total = 0.0;
-        for i in 0..n {
-            let from = cycle.latches[i];
-            let to = cycle.latches[(i + 1) % n];
-            let delay = self
-                .fanout(from)
-                .iter()
-                .map(|&e| self.edge(e))
-                .filter(|e| e.to == to)
-                .map(|e| e.max_delay)
-                .fold(f64::NEG_INFINITY, f64::max);
-            assert!(
-                delay.is_finite(),
-                "cycle hop {from} → {to} has no edge in the circuit"
-            );
-            total += delay + self.sync(from).dq;
-        }
-        total
     }
 }
 
@@ -326,6 +346,7 @@ impl Circuit {
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
+    use proptest::prelude::*;
 
     fn p(n: usize) -> PhaseId {
         PhaseId::from_number(n)
@@ -371,14 +392,14 @@ mod tests {
     }
 
     #[test]
-    fn feedback_and_cycles_detected() {
+    fn feedback_detected_as_one_scc() {
         let c = example1_like();
         assert!(c.has_feedback());
-        let cycles = c.cycles(10);
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].latches.len(), 4);
-        // loop delay: 20+20+60+80 combinational + 4×10 latch = 220
-        assert_eq!(c.cycle_delay(&cycles[0]), 220.0);
+        let sccs = c.sccs();
+        assert_eq!(sccs.len(), 1);
+        assert_eq!(sccs[0].len(), 4);
+        // Every hop carries delay, so the loop is not a zero-delay race.
+        assert!(c.zero_delay_loops().is_empty());
     }
 
     #[test]
@@ -389,7 +410,8 @@ mod tests {
         b.connect(a, c2, 5.0);
         let c = b.build().unwrap();
         assert!(!c.has_feedback());
-        assert!(c.cycles(10).is_empty());
+        assert!(c.sccs().iter().all(|comp| comp.len() == 1));
+        assert!(c.zero_delay_loops().is_empty());
     }
 
     #[test]
@@ -425,19 +447,47 @@ mod tests {
         assert_eq!(on1, vec![LatchId::new(0), LatchId::new(2)]);
     }
 
-    #[test]
-    fn parallel_edges_use_max_in_cycle_delay() {
+    /// Two zero-`dq` latches joined both ways by zero-delay paths, plus
+    /// an optional parallel delay-1 path `A → B`.
+    fn zero_pair(parallel_delay_one: bool) -> Circuit {
         let mut b = CircuitBuilder::new(2);
-        let a = b.add_latch("A", p(1), 1.0, 1.0);
-        let c2 = b.add_latch("B", p(2), 1.0, 1.0);
-        b.connect(a, c2, 5.0);
-        b.connect(a, c2, 9.0);
-        b.connect(c2, a, 2.0);
-        let c = b.build().unwrap();
-        let cycles = c.cycles(10);
-        assert_eq!(cycles.len(), 1);
-        // 9 (max of 5,9) + 2 + two latch dq of 1
-        assert_eq!(c.cycle_delay(&cycles[0]), 13.0);
+        let a = b.add_latch("A", p(1), 0.0, 0.0);
+        let c2 = b.add_latch("B", p(2), 0.0, 0.0);
+        b.connect(a, c2, 0.0);
+        if parallel_delay_one {
+            b.connect(a, c2, 1.0);
+        }
+        b.connect(c2, a, 0.0);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn zero_pair_is_a_zero_delay_loop() {
+        let loops = zero_pair(false).zero_delay_loops();
+        assert_eq!(loops.len(), 1);
+        assert_eq!(loops[0].latches, vec![LatchId::new(0), LatchId::new(1)]);
+    }
+
+    #[test]
+    fn parallel_delay_one_edge_breaks_the_zero_loop() {
+        // The hop weight is the largest parallel delay, so the zero edge
+        // alongside a delay-1 edge does not make a zero hop.
+        let c = zero_pair(true);
+        assert!(c.has_feedback());
+        assert!(c.zero_delay_loops().is_empty());
+    }
+
+    #[test]
+    fn dq_and_flip_flops_break_zero_loops() {
+        let mut b = CircuitBuilder::new(2);
+        let a = b.add_latch("A", p(1), 0.0, 0.5);
+        let c2 = b.add_latch("B", p(2), 0.0, 0.0);
+        let f = b.add_flip_flop("F", p(1), 0.0, 0.0);
+        b.connect(a, c2, 0.0);
+        b.connect(c2, a, 0.0);
+        b.connect(c2, f, 0.0);
+        b.connect(f, c2, 0.0);
+        assert!(b.build().unwrap().zero_delay_loops().is_empty());
     }
 
     #[test]
@@ -447,7 +497,160 @@ mod tests {
         b.connect(a, a, 5.0);
         let c = b.build().unwrap();
         assert!(c.has_feedback());
-        assert_eq!(c.cycles(10).len(), 1);
+        assert_eq!(c.sccs(), vec![vec![a]]);
+        assert!(c.zero_delay_loops().is_empty());
+
+        let mut b = CircuitBuilder::new(1);
+        let z = b.add_latch("Z", p(1), 0.0, 0.0);
+        b.connect(z, z, 0.0);
+        let loops = b.build().unwrap().zero_delay_loops();
+        assert_eq!(loops.len(), 1);
+        assert_eq!(loops[0].latches, vec![z]);
+    }
+
+    #[test]
+    fn dense_scc_with_many_cycles_still_yields_its_zero_loop() {
+        // Seven latches, complete digraph at delay 1: thousands of simple
+        // cycles. The zero-delay pair X ↔ Y sits in the same SCC.
+        let mut b = CircuitBuilder::new(2);
+        let x = b.add_latch("X", p(1), 0.0, 0.0);
+        let y = b.add_latch("Y", p(2), 0.0, 0.0);
+        let dense: Vec<LatchId> = (0..7)
+            .map(|i| b.add_latch(format!("D{i}"), p(1 + i % 2), 1.0, 1.0))
+            .collect();
+        for &u in &dense {
+            for &v in &dense {
+                if u != v {
+                    b.connect(u, v, 1.0);
+                }
+            }
+        }
+        b.connect(x, y, 0.0);
+        b.connect(y, x, 0.0);
+        b.connect(y, dense[0], 1.0);
+        b.connect(dense[0], x, 1.0);
+        let c = b.build().unwrap();
+        assert_eq!(c.sccs().len(), 1);
+        let loops = c.zero_delay_loops();
+        assert_eq!(loops.len(), 1);
+        assert_eq!(loops[0].latches, vec![x, y]);
+    }
+
+    /// Every elementary cycle of `c`, by the uncapped test-only enumerator.
+    fn all_cycles(c: &Circuit) -> Vec<Vec<usize>> {
+        let adj = c.adjacency();
+        graph::strongly_connected_components(&adj)
+            .iter()
+            .flat_map(|comp| graph::enumerate_cycles(&adj, comp))
+            .collect()
+    }
+
+    /// Is `cycle` an all-latch loop whose hops (largest parallel delay plus
+    /// the source's `dq`) all weigh zero?
+    fn is_zero_latch_loop(c: &Circuit, cycle: &[usize]) -> bool {
+        (0..cycle.len()).all(|i| {
+            let (from, to) = (cycle[i], cycle[(i + 1) % cycle.len()]);
+            let weight = c
+                .edges()
+                .iter()
+                .filter(|e| e.from.index() == from && e.to.index() == to)
+                .map(|e| e.max_delay + c.syncs[from].dq)
+                .fold(f64::NEG_INFINITY, f64::max);
+            c.syncs[from].kind == SyncKind::Latch && weight == 0.0
+        })
+    }
+
+    /// Synchronizers as `(is_latch, dq)` and edges as `(from, to, delay)`,
+    /// with zero delays and `dq` two times in three.
+    type Spec = (Vec<(bool, u8)>, Vec<(usize, usize, u8)>);
+
+    fn spec_strategy() -> impl Strategy<Value = Spec> {
+        (2usize..=6).prop_flat_map(|n| {
+            (
+                proptest::collection::vec((proptest::bool::weighted(0.8), 0u8..3), n),
+                proptest::collection::vec((0..n, 0..n, 0u8..3), 0..=14),
+            )
+        })
+    }
+
+    fn build_spec((syncs, edges): &Spec) -> Circuit {
+        let weight = |w: u8| if w == 2 { 1.0 } else { 0.0 };
+        let mut b = CircuitBuilder::new(2);
+        let ids: Vec<LatchId> = syncs
+            .iter()
+            .enumerate()
+            .map(|(i, &(latch, dq))| {
+                let (name, phase) = (format!("S{i}"), p(1 + i % 2));
+                if latch {
+                    b.add_latch(name, phase, 0.0, weight(dq))
+                } else {
+                    b.add_flip_flop(name, phase, 0.0, weight(dq))
+                }
+            })
+            .collect();
+        for &(from, to, delay) in edges {
+            b.connect(ids[from], ids[to], weight(delay));
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `zero_delay_loops` against the enumerator: it finds a loop
+        /// exactly when some zero-delay all-latch cycle exists, every
+        /// witness is such a cycle and the shortest one through its first
+        /// latch, and there is one witness per group of those cycles that
+        /// share latches.
+        #[test]
+        fn prop_zero_delay_loops_match_the_enumerator(spec in spec_strategy()) {
+            let c = build_spec(&spec);
+            let oracle: Vec<Vec<usize>> = all_cycles(&c)
+                .into_iter()
+                .filter(|cyc| is_zero_latch_loop(&c, cyc))
+                .collect();
+            let loops = c.zero_delay_loops();
+            prop_assert_eq!(loops.is_empty(), oracle.is_empty());
+
+            // Group the oracle cycles that share latches (union-find).
+            let mut group: Vec<usize> = (0..c.num_syncs()).collect();
+            fn find(group: &mut [usize], mut i: usize) -> usize {
+                while group[i] != i {
+                    i = group[i];
+                }
+                i
+            }
+            for cyc in &oracle {
+                for w in cyc.windows(2) {
+                    let (a, b) = (find(&mut group, w[0]), find(&mut group, w[1]));
+                    group[a] = b;
+                }
+            }
+            let mut groups: Vec<usize> = oracle.iter().map(|cyc| find(&mut group, cyc[0])).collect();
+            groups.sort_unstable();
+            groups.dedup();
+            prop_assert_eq!(loops.len(), groups.len());
+
+            let mut witnessed = Vec::new();
+            for w in &loops {
+                let nodes: Vec<usize> = w.latches.iter().map(|l| l.index()).collect();
+                prop_assert!(is_zero_latch_loop(&c, &nodes), "not a zero loop: {}", w);
+                let mut distinct = nodes.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                prop_assert_eq!(distinct.len(), nodes.len());
+                let shortest = oracle
+                    .iter()
+                    .filter(|cyc| cyc.contains(&nodes[0]))
+                    .map(Vec::len)
+                    .min();
+                prop_assert_eq!(Some(nodes.len()), shortest);
+                witnessed.push(find(&mut group, nodes[0]));
+            }
+            witnessed.sort_unstable();
+            witnessed.dedup();
+            prop_assert_eq!(witnessed, groups);
+        }
     }
 
     #[test]

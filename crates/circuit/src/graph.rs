@@ -63,8 +63,8 @@ impl fmt::Display for Edge {
     }
 }
 
-/// A directed cycle through synchronizers, reported by
-/// [`Circuit::cycles`](crate::Circuit::cycles).
+/// A directed cycle through synchronizers, e.g. a witness from
+/// [`Circuit::zero_delay_loops`](crate::Circuit::zero_delay_loops).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cycle {
     /// The synchronizers on the cycle, in traversal order; the last feeds
@@ -174,34 +174,23 @@ pub(crate) fn strongly_connected_components(adj: &[Vec<usize>]) -> Vec<Vec<usize
     components
 }
 
-/// Enumerates elementary cycles within one SCC by DFS from its smallest
-/// node, capped at `limit` cycles (cycle counts are exponential in general).
-pub(crate) fn enumerate_cycles(
-    adj: &[Vec<usize>],
-    nodes: &[usize],
-    limit: usize,
-) -> Vec<Vec<usize>> {
-    // Johnson's algorithm simplified: we only need representative cycles for
-    // diagnostics, so a bounded DFS from each node (taking only nodes >= root
-    // to avoid duplicates) is sufficient and simple.
+/// Enumerates every elementary cycle within one SCC by DFS from each node,
+/// taking only nodes `>= root` to avoid duplicates. Exponential in general:
+/// the test oracle for [`Circuit::zero_delay_loops`](crate::Circuit::zero_delay_loops).
+#[cfg(test)]
+pub(crate) fn enumerate_cycles(adj: &[Vec<usize>], nodes: &[usize]) -> Vec<Vec<usize>> {
     let mut in_scc = vec![false; adj.len()];
     for &n in nodes {
         in_scc[n] = true;
     }
     let mut cycles = Vec::new();
     for &root in nodes {
-        if cycles.len() >= limit {
-            break;
-        }
         let mut path = vec![root];
         let mut on_path = vec![false; adj.len()];
         on_path[root] = true;
         // stack of (node, next child position)
         let mut dfs = vec![(root, 0usize)];
         while let Some(&(v, pos)) = dfs.last() {
-            if cycles.len() >= limit {
-                break;
-            }
             if pos < adj[v].len() {
                 dfs.last_mut().expect("non-empty").1 += 1;
                 let w = adj[v][pos];
@@ -262,25 +251,24 @@ mod tests {
         // 0 <-> 1, and triangle 0 -> 1 -> 2 -> 0.
         let adj = vec![vec![1], vec![0, 2], vec![0]];
         let nodes = vec![0, 1, 2];
-        let cycles = enumerate_cycles(&adj, &nodes, 100);
+        let cycles = enumerate_cycles(&adj, &nodes);
         assert_eq!(cycles.len(), 2, "cycles: {cycles:?}");
     }
 
     #[test]
-    fn cycle_limit_is_respected() {
-        // complete digraph on 4 nodes has many cycles; cap at 3.
+    fn complete_digraph_cycles_are_all_enumerated() {
+        // K4 has C(4,2)·1 + C(4,3)·2 + C(4,4)·6 = 6 + 8 + 6 = 20 cycles.
         let adj: Vec<Vec<usize>> = (0..4)
             .map(|i| (0..4).filter(|&j| j != i).collect())
             .collect();
         let nodes = vec![0, 1, 2, 3];
-        let cycles = enumerate_cycles(&adj, &nodes, 3);
-        assert_eq!(cycles.len(), 3);
+        assert_eq!(enumerate_cycles(&adj, &nodes).len(), 20);
     }
 
     #[test]
     fn self_loop_is_a_cycle() {
         let adj = vec![vec![0]];
-        let cycles = enumerate_cycles(&adj, &[0], 10);
+        let cycles = enumerate_cycles(&adj, &[0]);
         assert_eq!(cycles, vec![vec![0]]);
     }
 

@@ -37,7 +37,7 @@
 //! optimum outside it.
 
 use smo_circuit::{Circuit, ClockSpec, Cycle, LatchId, SyncKind};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Relaxation tolerance for the Bellman–Ford negative-cycle test. At the
@@ -215,8 +215,10 @@ fn scc_critical_cycle(circuit: &Circuit, comp: &[LatchId]) -> Option<CriticalCyc
     let index: HashMap<LatchId, usize> = comp.iter().enumerate().map(|(i, &l)| (l, i)).collect();
     // Parallel edges collapse to their worst weight: each parallel edge
     // yields its own L2R row, so the largest delay certifies the largest
-    // ratio while remaining a genuine cycle of rows.
-    let mut dedup: HashMap<(usize, usize), (f64, usize)> = HashMap::new();
+    // ratio while remaining a genuine cycle of rows. Arcs come out in
+    // `(from, to)` order, so Bellman–Ford relaxes them in the same order on
+    // every run and names the same critical cycle among ties.
+    let mut dedup: BTreeMap<(usize, usize), (f64, usize)> = BTreeMap::new();
     for e in circuit.edges() {
         if let (Some(&f), Some(&t)) = (index.get(&e.from), index.get(&e.to)) {
             let (w, c) = edge_weight(circuit, e.from, e.to, e.max_delay);

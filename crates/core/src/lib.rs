@@ -119,7 +119,10 @@ pub use model::{
     NonoverlapScope, TimingModel, VarMap,
 };
 pub use propagation::{Arc, FixpointResult, PropagationSystem, FIXPOINT_TOL};
-pub use race::{race_analysis, race_analysis_at, RaceOptions, RaceReport, ShortPathWitness};
+pub use race::{
+    race_analysis, race_analysis_at, race_analysis_within, RaceOptions, RaceReport,
+    ShortPathWitness,
+};
 pub use report::{render_report, timing_report};
 pub use sensitivity::{cycle_time_curve, delay_sensitivities};
 pub use solution::TimingSolution;

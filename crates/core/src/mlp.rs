@@ -245,7 +245,7 @@ pub fn solve_model_canonical(
 /// Canonicalizing pipeline shared by the certified and plain paths. A warm
 /// basis (from the fast path's crossover) only seeds the *first* solve —
 /// the refined model has an extra row, so the snapshot no longer fits it.
-fn canonical_inner(
+pub(crate) fn canonical_inner(
     circuit: &Circuit,
     model: &TimingModel,
     update: UpdateMode,

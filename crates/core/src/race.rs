@@ -42,7 +42,7 @@
 
 use crate::error::TimingError;
 use crate::fastpath::{self, Backend};
-use crate::mlp::{min_cycle_time_with, solve_model_canonical, MlpOptions, UpdateMode};
+use crate::mlp::{canonical_inner, run_mlp, MlpOptions, UpdateMode};
 use crate::model::{ConstraintOptions, TimingModel};
 use crate::propagation::PropagationSystem;
 use smo_circuit::{Circuit, ClockSchedule, EdgeId, SyncKind};
@@ -253,6 +253,22 @@ impl fmt::Display for RaceReport {
 /// [`TimingError`] when the model cannot be built, the solve fails, or no
 /// feasible schedule exists at a requested `cycle_time`.
 pub fn race_analysis(circuit: &Circuit, options: &RaceOptions) -> Result<RaceReport, TimingError> {
+    race_analysis_within(circuit, options, &smo_lp::SolveBudget::UNLIMITED)
+}
+
+/// [`race_analysis`] under a wall-clock / iteration budget shared by the
+/// cycle-time solve and the schedule reconstruction, so a daemon request
+/// with a deadline cannot run unbounded.
+///
+/// # Errors
+///
+/// As [`race_analysis`], plus [`smo_lp::LpError::Budget`] (wrapped in
+/// [`TimingError::Lp`]) once the budget expires.
+pub fn race_analysis_within(
+    circuit: &Circuit,
+    options: &RaceOptions,
+    budget: &smo_lp::SolveBudget,
+) -> Result<RaceReport, TimingError> {
     let tc = match options.cycle_time {
         Some(tc) => {
             if !tc.is_finite() || tc <= 0.0 {
@@ -268,29 +284,34 @@ pub fn race_analysis(circuit: &Circuit, options: &RaceOptions) -> Result<RaceRep
                 backend: options.backend,
                 ..MlpOptions::default()
             };
-            min_cycle_time_with(circuit, &mlp)?.cycle_time()
+            run_mlp(circuit, &mlp, budget)?.cycle_time()
         }
     };
     let model = TimingModel::build_with(circuit, &options.constraints)?;
-    // Race analysis has no time-limit knob of its own; the graph probe
-    // runs unbudgeted like the rest of the pass.
-    let schedule =
-        match fastpath::schedule_at(circuit, &model, tc, &smo_lp::SolveBudget::UNLIMITED)? {
-            Some(schedule) => schedule,
-            None => {
-                // Rows outside the difference fragment: pin the cycle time and
-                // let the canonicalizing LP pick the same deterministic compact
-                // schedule both backends would see.
-                let pinned = ConstraintOptions {
-                    fixed_cycle: Some(tc),
-                    ..options.constraints.clone()
-                };
-                let pinned_model = TimingModel::build_with(circuit, &pinned)?;
-                solve_model_canonical(circuit, &pinned_model, UpdateMode::default())?
-                    .schedule()
-                    .clone()
-            }
-        };
+    let schedule = match fastpath::schedule_at(circuit, &model, tc, budget)? {
+        Some(schedule) => schedule,
+        None => {
+            // Rows outside the difference fragment: pin the cycle time and
+            // let the canonicalizing LP pick the same deterministic compact
+            // schedule both backends would see.
+            let pinned = ConstraintOptions {
+                fixed_cycle: Some(tc),
+                ..options.constraints.clone()
+            };
+            let pinned_model = TimingModel::build_with(circuit, &pinned)?;
+            canonical_inner(
+                circuit,
+                &pinned_model,
+                UpdateMode::default(),
+                smo_lp::SimplexVariant::Dense,
+                None,
+                None,
+                *budget,
+            )?
+            .schedule()
+            .clone()
+        }
+    };
     Ok(race_analysis_at(circuit, &schedule))
 }
 

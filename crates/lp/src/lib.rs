@@ -19,11 +19,6 @@
 //! * infeasibility diagnosis: infeasible solves carry a Farkas certificate
 //!   ([`Solution::farkas`]) and [`extract_iis`] reduces the conflict to an
 //!   irreducible infeasible subsystem of named rows,
-//! * a presolve layer ([`Problem::presolve`] /
-//!   [`Problem::solve_with_presolve`]) that folds singleton rows into bounds,
-//!   fixes pinned variables and removes redundant or dominated rows before
-//!   the simplex runs, returning a [`Presolved`] bundle whose postsolve map
-//!   reconstructs the full primal/dual solution on the original rows,
 //! * independent optimality checking ([`Solution::certify`] returning a
 //!   [`Certificate`] of KKT residuals) and certified solving with a
 //!   numerical recovery ladder ([`Problem::solve_certified`]): alternate
@@ -79,7 +74,6 @@ mod graph;
 mod hypersparse;
 mod iis;
 mod parametric;
-mod presolve;
 mod pricing;
 mod problem;
 mod recover;
@@ -101,7 +95,6 @@ pub use graph::{
 pub use hypersparse::{LuWorkspace, ScatterVec};
 pub use iis::{certifies_infeasibility, extract_iis, Iis};
 pub use parametric::{parametric_objective, parametric_rhs, ParametricCurve, ParametricSegment};
-pub use presolve::{PresolveOptions, PresolveStats, Presolved, RowFate, VarFate};
 pub use pricing::Pricing;
 pub use problem::{ConstraintId, Objective, Problem, Sense, SimplexVariant};
 pub use recover::{CertifiedSolution, RecoveryPolicy, RecoveryStep, SolveBudget};

@@ -112,7 +112,7 @@ impl Solution {
     /// [`Problem::solve_from_basis`](crate::Problem::solve_from_basis).
     ///
     /// `None` for non-optimal statuses, and for derived solutions
-    /// (presolved, equilibrated, refined) whose internal basis would not
+    /// (equilibrated, refined) whose internal basis would not
     /// map back onto the original problem's standard form.
     pub fn basis(&self) -> Option<&Basis> {
         self.basis.as_ref()

@@ -5,7 +5,7 @@
 //! against the original rows, so the caller never has to trust the simplex
 //! internals. This module does the same for the *optimal* verdict.
 //! [`Solution::certify`] re-derives every optimality condition from the
-//! original (pre-presolve, pre-scaling) [`Problem`] and the returned
+//! original (pre-scaling) [`Problem`] and the returned
 //! primal/dual vectors alone:
 //!
 //! 1. **Primal feasibility** — every row holds at the returned values;
@@ -157,7 +157,7 @@ fn bump(worst: &mut f64, r: f64) {
 
 impl Solution {
     /// Independently certifies this solution's `Optimal` verdict against
-    /// `p` — the *original* problem, before any presolve or scaling.
+    /// `p` — the *original* problem, before any scaling.
     ///
     /// The check uses only the returned primal values, duals and reduced
     /// costs; nothing is trusted from the solver's internal state. See the

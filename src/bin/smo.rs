@@ -14,7 +14,7 @@
 //! smo lp       <netlist>            CPLEX LP-format dump of problem P2
 //! smo lint     <netlist>            structural sanity checks
 //! smo check    <netlist>            lint + solve + short-path race analysis
-//! smo analyze  <netlist>            cycle-time bracket + presolve report
+//! smo analyze  <netlist>            bracket vs graph vs certified-LP cross-check
 //! smo diagnose <netlist> [--cycle-time T]   why is there no schedule at T?
 //! smo sweep    <netlist> [--param tc|delay]  parameter sweep
 //! ```
@@ -117,8 +117,9 @@ const USAGE: &str = "usage:
                                                  escalates it to error; exit 2
                                                  on any error-severity finding
   smo analyze  <netlist> [--json]                combinatorial cycle-time
-                                                 bracket, LP optimum and
-                                                 presolve breakdown; exit 2
+                                                 bracket, graph optimum and
+                                                 certified sparse-LU LP
+                                                 optimum, row classes; exit 2
                                                  if the cross-checks disagree
                                                  (an internal soundness bug)
   smo diagnose <netlist> [--cycle-time T] [--json]
@@ -563,9 +564,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 // A failed cross-check is not a usage error: report it on
                 // stderr with a distinct exit code and no usage banner.
                 Err(
-                    e @ (AnalyzeError::BoundsDisagree { .. }
-                    | AnalyzeError::PresolveDisagree { .. }
-                    | AnalyzeError::BackendDisagree { .. }),
+                    e
+                    @ (AnalyzeError::BoundsDisagree { .. } | AnalyzeError::BackendDisagree { .. }),
                 ) => {
                     eprintln!("analyze error: {e}");
                     Ok(ExitCode::from(2))

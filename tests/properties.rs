@@ -229,55 +229,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Presolve preserves the optimal objective: solving through the
-    /// presolve pipeline returns the same cycle time as the plain solve,
-    /// for both simplex variants.
-    #[test]
-    fn prop_presolve_preserves_objective(spec in spec_strategy()) {
-        use smo::lp::{PresolveOptions, SimplexVariant};
-        let circuit = build(&spec);
-        let model = TimingModel::build(&circuit).expect("model");
-        let plain = model.solve_lp().expect("optimal").objective();
-        for variant in [SimplexVariant::Dense, SimplexVariant::SparseLu] {
-            let pre = model
-                .problem()
-                .solve_with_presolve(variant, &PresolveOptions::default())
-                .expect("solves")
-                .objective()
-                .expect("optimal");
-            prop_assert!(
-                (pre - plain).abs() <= 1e-9 * (1.0 + plain.abs()),
-                "{variant:?}: presolved {pre} vs plain {plain}"
-            );
-        }
-    }
-
-    /// Presolve preserves the feasibility verdict: a circuit made
-    /// infeasible by an impossible cycle-time cap is reported infeasible
-    /// through the presolve pipeline too (with a Farkas certificate on the
-    /// original rows).
-    #[test]
-    fn prop_presolve_preserves_infeasible_verdict(spec in spec_strategy()) {
-        use smo::lp::{certifies_infeasibility, PresolveOptions, SimplexVariant, Status};
-        use smo::timing::ConstraintOptions;
-        let circuit = build(&spec);
-        let free = TimingModel::build(&circuit)
-            .expect("model")
-            .solve_lp()
-            .expect("plain SMO model is feasible")
-            .objective();
-        prop_assume!(free > 1e-6);
-        let opts = ConstraintOptions { max_cycle: Some(0.8 * free), ..Default::default() };
-        let model = TimingModel::build_with(&circuit, &opts).expect("model");
-        let p = model.problem();
-        let sol = p
-            .solve_with_presolve(SimplexVariant::Dense, &PresolveOptions::default())
-            .expect("solver runs");
-        prop_assert_eq!(sol.status(), Status::Infeasible);
-        let y = sol.farkas().expect("certificate");
-        prop_assert!(certifies_infeasibility(p, y));
-    }
-
     /// The combinatorial bracket contains the LP optimum on random
     /// circuits: MMC lower bound ≤ Tc* ≤ flip-flop-style upper bound.
     #[test]

@@ -7,6 +7,7 @@
 
 use smo::api::{serve, Client, Engine, EngineConfig, Json, Load, ServerConfig};
 use smo::circuit::netlist;
+use smo::gen::datapath::{pipelined_datapath, DatapathConfig};
 use std::time::Duration;
 
 /// Escapes a netlist into a JSON string literal.
@@ -216,6 +217,43 @@ fn sweep_deadline_expiry_over_the_wire() {
     let ok = client.call(&line).unwrap();
     assert_eq!(classify(&ok).0, "ok", "{ok}");
     assert!(ok.contains("\"certified\":true"), "{ok}");
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn check_deadline_expiry_over_the_wire() {
+    let server = start_server(2, 2);
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    // A ~10k-row datapath (`smo gen --latches 3333 --seed 7`): the check's
+    // cycle-time solve outlasts a 5 ms deadline, so the request answers
+    // the structured budget error instead of running to completion.
+    let big = netlist::write(&pipelined_datapath(&DatapathConfig::with_latches(3333), 7));
+    let line = format!(
+        "{{\"id\":\"ck\",\"cmd\":\"check\",\"deadline_ms\":5,\"netlist\":{}}}",
+        js(&big)
+    );
+    let started = std::time::Instant::now();
+    let resp = client.call(&line).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(
+        classify(&resp),
+        ("error".to_string(), "budget".to_string()),
+        "{resp}"
+    );
+    assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
+
+    // The daemon keeps serving: a small check answers.
+    let line = format!(
+        "{{\"id\":\"ck2\",\"cmd\":\"check\",\"deadline_ms\":60000,\"netlist\":{}}}",
+        js(&read_circuit("example1.ckt"))
+    );
+    let ok = client.call(&line).unwrap();
+    assert_eq!(classify(&ok).0, "ok", "{ok}");
+    assert!(ok.contains("\"clean\":true"), "{ok}");
 
     server.shutdown();
     server.wait();
